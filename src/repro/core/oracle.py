@@ -26,6 +26,8 @@ n = 10 graphs) is verified bit-exactly by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
+from typing import NamedTuple
 
 from ..graphs import Graph
 from ..quantum import (
@@ -112,7 +114,11 @@ class KCplexOracle:
     * :meth:`classical_eval` — bit-level execution of the constructed
       ``U_check`` circuit (used to validate the circuit itself);
     * :meth:`phase_oracle_circuit` — the full compute/mark/uncompute
-      gate list (used for gate accounting and tiny-n dense simulation).
+      gate list (used for tiny-n dense simulation).
+
+    ``U_check`` is built on first use by one of the circuit views;
+    :meth:`component_costs` counts its gates without building it, so a
+    qTKP probe never pays for the circuit.
     """
 
     def __init__(
@@ -136,12 +142,13 @@ class KCplexOracle:
         self.k = k
         self.threshold = threshold
         self.adder = adder
-        self._build()
 
     # ------------------------------------------------------------------
     # Circuit construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
+    @cached_property
+    def _circuit(self) -> _CheckCircuit:
+        """``U_check`` and its output qubits, built on first use."""
         n = self.complement.num_vertices
         qc = QuantumCircuit()
         vertex_reg = qc.add_register("v", n)
@@ -198,11 +205,7 @@ class KCplexOracle:
         else:
             size_ok = compare_geq_const(qc, size_counter, self.threshold, alloc)
         qc.set_label(None)
-
-        self._u_check = qc
-        self._vertex_reg = vertex_reg
-        self._cplex_qubit = cplex_qubit
-        self._size_ok_qubit = size_ok
+        return _CheckCircuit(qc, cplex_qubit, size_ok)
 
     # ------------------------------------------------------------------
     # Views
@@ -214,20 +217,20 @@ class KCplexOracle:
     @property
     def num_qubits(self) -> int:
         """Qubits of ``U_check`` (the phase oracle adds one for |O>)."""
-        return self._u_check.num_qubits
+        return self.u_check.num_qubits
 
     @property
     def u_check(self) -> QuantumCircuit:
         """The forward checking circuit (compute only, no mark)."""
-        return self._u_check
+        return self._circuit.u_check
 
     @property
     def cplex_qubit(self) -> int:
-        return self._cplex_qubit
+        return self._circuit.cplex_qubit
 
     @property
     def size_ok_qubit(self) -> int:
-        return self._size_ok_qubit
+        return self._circuit.size_ok_qubit
 
     def predicate(self, mask: int) -> bool:
         """Direct evaluation: is the subset a k-cplex of size >= T?
@@ -256,15 +259,15 @@ class KCplexOracle:
         Returns the AND of the ``cplex`` and ``size_ok`` flags — exactly
         the bit the marking Toffoli reads.
         """
-        out = classical_simulate(self._u_check, mask)
-        return bool(out >> self._cplex_qubit & 1) and bool(
-            out >> self._size_ok_qubit & 1
+        out = classical_simulate(self.u_check, mask)
+        return bool(out >> self.cplex_qubit & 1) and bool(
+            out >> self.size_ok_qubit & 1
         )
 
     def uncompute_is_clean(self, mask: int) -> bool:
         """Check ``U_check^dag U_check`` restores the input exactly."""
-        forward = classical_simulate(self._u_check, mask)
-        back = classical_simulate(self._u_check.inverse(), forward)
+        forward = classical_simulate(self.u_check, mask)
+        back = classical_simulate(self.u_check.inverse(), forward)
         return back == mask
 
     def phase_oracle_circuit(self) -> QuantumCircuit:
@@ -273,24 +276,74 @@ class KCplexOracle:
         The oracle qubit is the last one; prepared in (|0>-|1>)/sqrt(2)
         it turns the Toffoli into the sign flip of Grover's step 2.
         """
-        width = self._u_check.num_qubits + 1
+        u_check = self.u_check
+        width = u_check.num_qubits + 1
         oracle_qubit = width - 1
         qc = QuantumCircuit(width)
-        qc.mirror_registers(self._u_check)
-        qc.extend(self._u_check)
+        qc.mirror_registers(u_check)
+        qc.extend(u_check)
         qc.set_label(COMPONENT_MARK)
-        qc.ccx(self._cplex_qubit, self._size_ok_qubit, oracle_qubit)
+        qc.ccx(self.cplex_qubit, self.size_ok_qubit, oracle_qubit)
         qc.set_label(None)
-        qc.extend(self._u_check.inverse())
+        qc.extend(u_check.inverse())
         return qc
 
     def component_costs(self) -> OracleCosts:
-        """Gate counts per component for one full phase-oracle call."""
-        forward = self._u_check.labelled_gate_counts()
+        """Gate counts per component for one full phase-oracle call.
+
+        Counted without building ``U_check``: each section's count is
+        the sum of its builders' counts, which depend only on an input
+        width, a constant and the adder (:func:`_builder_gates`), and
+        on the complement's edge count and degree sequence.  Equal to
+        ``u_check.labelled_gate_counts()`` doubled (tested).
+        """
+        n = self.num_vertices
+        limit = self.k - 1
+        degree_count = 0
+        degree_compare = 1  # the AND of all flags into ``cplex``
+        for degree in self.complement.degrees():
+            if degree:
+                degree_count += _builder_gates("popcount", degree, self.adder)
+            width = counter_width(degree)
+            if not degree or limit >= 1 << width:
+                degree_compare += 1  # always-pass flag: one X
+            else:
+                degree_compare += _builder_gates("leq", width, limit)
+        size_check = _builder_gates("popcount", n, self.adder) if n else 0
+        if self.threshold == 0:
+            size_check += 1  # always-pass flag: one X
+        else:
+            size_check += _builder_gates("geq", counter_width(n), self.threshold)
         return OracleCosts(
-            encode=2 * forward.get(COMPONENT_ENCODE, 0),
-            degree_count=2 * forward.get(COMPONENT_DEGREE_COUNT, 0),
-            degree_compare=2 * forward.get(COMPONENT_DEGREE_COMPARE, 0),
-            size_check=2 * forward.get(COMPONENT_SIZE_CHECK, 0),
+            encode=2 * self.complement.num_edges,
+            degree_count=2 * degree_count,
+            degree_compare=2 * degree_compare,
+            size_check=2 * size_check,
             mark=1,
         )
+
+
+class _CheckCircuit(NamedTuple):
+    u_check: QuantumCircuit
+    cplex_qubit: int
+    size_ok_qubit: int
+
+
+@cache
+def _builder_gates(builder: str, width: int, arg: int | str) -> int:
+    """Gates one arithmetic builder appends for a ``width``-qubit input.
+
+    ``builder`` is ``"popcount"`` (``arg`` = adder), ``"leq"`` or
+    ``"geq"`` (``arg`` = the constant).  The builder runs once into a
+    scratch circuit; the count is memoised for every later oracle.
+    """
+    qc = QuantumCircuit()
+    bits = qc.add_register("in", width).qubits
+    alloc = QubitAllocator(qc)
+    if builder == "popcount":
+        popcount(qc, bits, alloc, adder=arg)
+    elif builder == "leq":
+        compare_leq_const(qc, bits, arg, alloc)
+    else:
+        compare_geq_const(qc, bits, arg, alloc)
+    return qc.num_gates

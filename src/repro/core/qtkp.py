@@ -12,7 +12,8 @@ Pipeline, exactly as in the paper:
    (an O(n^2) check); retry on a bad collapse.
 
 Cost accounting: every Grover round costs one phase-oracle call (gate
-count from the constructed circuit) plus one diffusion operator; the
+count of the oracle circuit, counted without building it) plus one
+diffusion operator; the
 per-component split feeds Table IV and the classical-vs-quantum tables.
 """
 

@@ -26,9 +26,10 @@ __all__ = [
 def optimal_iterations(num_states: int, num_marked: int) -> int:
     """``floor(pi/4 * sqrt(N/M))``, the canonical Grover schedule.
 
-    Returns 0 when more than half the states are marked (a single
-    measurement of the uniform superposition already succeeds with
-    probability > 1/2 and further rotation would overshoot).
+    Returns 0 only when ``M > (pi/4)^2 * N`` (about 0.617 N), not as
+    soon as ``M > N/2``: ``optimal_iterations(16, 9) == 1``.  Where a
+    majority is marked but the floor is still 1, that one round can
+    overshoot; :func:`best_iterations` corrects for it.
     """
     if num_states <= 0:
         raise ValueError(f"num_states must be positive, got {num_states}")

@@ -5,25 +5,33 @@ Two execution backends share one interface:
 * :class:`PhaseOracleGrover` — the workhorse.  Because the oracle's
   ``U_check / sign-flip / U_check^dag`` sandwich returns every ancilla
   to |0>, its net effect on the ``n`` vertex qubits is exactly a phase
-  flip on marked basis states.  This backend therefore keeps only the
-  ``2^n`` vertex-register amplitudes, applies the sign flips from a
-  marked-state set, and performs the diffusion reflection analytically.
-  The amplitudes are bit-for-bit those of a full-width simulation (the
-  ancilla register factors out as |0...0>), which the test suite
-  verifies against dense simulation on small instances.
+  flip on marked basis states.  Starting from the uniform state, the
+  sign flip and the inversion about the mean treat every marked
+  amplitude alike and every unmarked one alike, so the ``2^n``
+  amplitudes only ever take two values.  The engine therefore keeps
+  two scalars and runs the recurrence ``a <- 2m + a``, ``b <- 2m - b``
+  on them.  The mean ``m`` is the one step that depends on all ``2^n``
+  entries; :class:`TwoValuedSum` reproduces NumPy's float64 pairwise
+  summation of the two-valued vector exactly, so every amplitude, the
+  per-iteration history and the measurement distribution are
+  bit-for-bit those of the ``2^n``-vector simulation (the ancilla
+  register factors out as |0...0>, which the test suite verifies
+  against dense simulation on small instances).
 
 * :func:`grover_circuit` — the literal Fig. 11 circuit (state
   preparation, oracle placeholder, diffusion), dense-simulable for
   small ``n``, used for validation and for gate accounting.
 
-The simulator records the amplitude trace after every iteration — the
-data behind the paper's Fig. 12 bar charts.
+The simulator records the success probability after every iteration
+and, on request, amplitude snapshots — the data behind the paper's
+Fig. 12 bar charts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +39,183 @@ from ..quantum import QuantumCircuit
 from .diffusion import diffusion_circuit
 from .iterations import optimal_iterations, success_probability
 
-__all__ = ["GroverRun", "PhaseOracleGrover", "grover_circuit"]
+__all__ = ["GroverRun", "PhaseOracleGrover", "TwoValuedSum", "grover_circuit"]
+
+#: NumPy's pairwise summation (``pairwise_sum`` in its loops source):
+#: blocks of at most ``_BLOCK`` elements are summed with ``_LANES``
+#: strided accumulators, longer runs split in two at a multiple of
+#: ``_LANES``, and runs shorter than ``_LANES`` are summed in order.
+_LANES = 8
+_BLOCK = 128
+
+#: A :class:`TwoValuedSum` whose scalar program would exceed this many
+#: additions walks its blocks with NumPy instead.  On a 2-vCPU x86 VM a
+#: scalar addition costs ~0.1 us and a vectorised walk ~50 us at n = 19.
+_MAX_PROGRAM_STEPS = 400
+
+
+class _Program:
+    """A straight-line sequence of float64 additions with shared sub-sums.
+
+    Registers 0, 1 and 2 hold ``x``, ``y`` and ``0.0``; step ``(i, j)``
+    appends ``reg[i] + reg[j]``.  An addition of two registers already
+    added is not repeated, so a sum of many equal parts stays short.
+    """
+
+    X, Y, ZERO = 0, 1, 2
+
+    def __init__(self) -> None:
+        self.steps: list[tuple[int, int]] = []
+        self._register: dict[tuple[int, int], int] = {}
+        self.result = self.ZERO
+
+    def add(self, i: int, j: int) -> int:
+        if (i, j) not in self._register:
+            self.steps.append((i, j))
+            self._register[i, j] = len(self.steps) + 2
+        return self._register[i, j]
+
+    def __call__(self, x: float, y: float = 0.0) -> float:
+        registers = [x, y, 0.0]
+        append = registers.append
+        for i, j in self.steps:
+            append(registers[i] + registers[j])
+        return registers[self.result]
+
+
+def _uniform_sum_program(count: int) -> _Program:
+    """``np.add.reduce`` of ``count`` copies of ``x``, as a :class:`_Program`.
+
+    Follows NumPy's pairwise recursion (see :class:`TwoValuedSum`);
+    repeated sub-sums are shared, so it has O(log count) steps.
+    """
+    program = _Program()
+    subtotal: dict[int, int] = {}
+
+    def pairwise(n: int) -> int:
+        if n not in subtotal:
+            if n < _LANES:
+                total = program.ZERO
+                for _ in range(n):
+                    total = program.add(total, program.X)
+            elif n <= _BLOCK:
+                lane = program.X
+                for _ in range(n // _LANES - 1):
+                    lane = program.add(lane, program.X)
+                pair = program.add(lane, lane)
+                quad = program.add(pair, pair)
+                total = program.add(quad, quad)
+                for _ in range(n % _LANES):
+                    total = program.add(total, program.X)
+            else:
+                half = n // 2 - (n // 2) % _LANES
+                total = program.add(pairwise(half), pairwise(n - half))
+            subtotal[n] = total
+        return subtotal[n]
+
+    program.result = program.add(program.ZERO, pairwise(count))
+    return program
+
+
+class TwoValuedSum:
+    """``np.add.reduce`` of a ``2^n`` vector that holds ``x`` at ``marked``
+    and ``y`` everywhere else, bit for bit, without building the vector.
+
+    For ``2^n >= 8`` NumPy splits the vector into a perfect binary tree
+    of blocks of ``min(2^n, 128)`` elements.  Inside a block, lane ``j``
+    sums elements ``j, j+8, j+16, ...`` in order and the eight lanes
+    combine as ``((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))``.  A lane's sum
+    depends only on which of its elements are marked, so each distinct
+    lane pattern is summed once per call; blocks without marked indices
+    share one row.  The block values then go up the tree one level per
+    halving.  Vectors shorter than 8 are summed in order.  The
+    reduction finally adds its identity ``0.0``, as NumPy does.
+
+    The structure depends only on ``n`` and the marked set and is
+    precomputed here.  When few blocks hold marked indices it is
+    compiled into a scalar :class:`_Program` (untouched subtrees share
+    one value per level); otherwise each call walks it with NumPy in
+    O(lane patterns + touched blocks + 2^n / 128).
+    """
+
+    def __init__(self, num_qubits: int, marked: np.ndarray) -> None:
+        size = 1 << num_qubits
+        marked = np.asarray(marked, dtype=np.int64)
+        if size < _LANES:
+            program = _Program()
+            total = program.ZERO
+            for is_marked in np.isin(np.arange(size), marked):
+                total = program.add(total, program.X if is_marked else program.Y)
+            program.result = program.add(program.ZERO, total)
+            self._program: _Program | None = program
+            return
+        block = min(size, _BLOCK)
+        block_of, offset = np.divmod(marked, block)
+        lanes, lane_of = np.unique(
+            block_of * _LANES + offset % _LANES, return_inverse=True
+        )
+        # bit s of a lane's pattern: its s-th summand is marked
+        patterns = np.bincount(
+            lane_of, weights=np.left_shift(1, offset // _LANES), minlength=lanes.size
+        ).astype(np.int64)
+        kinds, kind_of = np.unique(np.concatenate(([0], patterns)), return_inverse=True)
+        # [summand step, pattern] -> the summand's register: X if marked, else Y
+        self._steps = np.where(
+            (kinds[np.newaxis, :] >> np.arange(block // _LANES)[:, np.newaxis]) & 1,
+            _Program.X, _Program.Y,
+        ).astype(np.intp)
+        touched, row_of = np.unique(lanes // _LANES, return_inverse=True)
+        # one row of lane patterns per touched block, then an unmarked row
+        self._block_lanes = np.full((touched.size + 1, _LANES), kind_of[0], dtype=np.intp)
+        self._block_lanes[row_of, lanes % _LANES] = kind_of[1:]
+        self._touched = touched
+        self._block_row = np.full(size // block, touched.size, dtype=np.intp)
+        self._block_row[touched] = np.arange(touched.size)
+        levels = (size // block).bit_length() - 1
+        estimate = self._steps.size + self._block_lanes.size + touched.size * levels
+        self._program = self._compile() if estimate <= _MAX_PROGRAM_STEPS else None
+
+    def _compile(self) -> _Program:
+        """The vectorised walk of :meth:`__call__` as a scalar program."""
+        program = _Program()
+        lane_sums = []
+        for summands in self._steps.T.tolist():
+            total = summands[0]
+            for summand in summands[1:]:
+                total = program.add(total, summand)
+            lane_sums.append(total)
+        rows = []
+        for row in self._block_lanes.tolist():
+            r = [lane_sums[kind] for kind in row]
+            rows.append(program.add(
+                program.add(program.add(r[0], r[1]), program.add(r[2], r[3])),
+                program.add(program.add(r[4], r[5]), program.add(r[6], r[7])),
+            ))
+        untouched = rows.pop()
+        level = dict(zip(self._touched.tolist(), rows))
+        for _ in range(self._block_row.size.bit_length() - 1):
+            level = {
+                i: program.add(level.get(2 * i, untouched), level.get(2 * i + 1, untouched))
+                for i in sorted({i >> 1 for i in level})
+            }
+            untouched = program.add(untouched, untouched)
+        program.result = program.add(program.ZERO, level.get(0, untouched))
+        return program
+
+    def __call__(self, x: float, y: float) -> float:
+        if self._program is not None:
+            return self._program(x, y)
+        summands = np.array((x, y)).take(self._steps)
+        lanes = summands[0]
+        for step in summands[1:]:
+            lanes += step
+        r = lanes.take(self._block_lanes)
+        r = r[:, 0::2] + r[:, 1::2]
+        r = r[:, 0::2] + r[:, 1::2]
+        level = (r[:, 0] + r[:, 1]).take(self._block_row)
+        while level.size > 1:
+            level = level[0::2] + level[1::2]
+        return 0.0 + float(level[0])
 
 
 @dataclass
@@ -44,14 +228,19 @@ class GroverRun:
         The search-space size and marked set.
     iterations:
         Number of oracle+diffusion rounds applied.
-    amplitudes:
-        Final real amplitude vector over the ``2^n`` basis states.
+    marked_amplitude, unmarked_amplitude:
+        The final real amplitude of every marked / unmarked basis
+        state (the register only ever holds these two values).
+    engine:
+        The :class:`PhaseOracleGrover` that ran; it expands amplitude
+        pairs to ``2^n`` vectors.
     history:
         ``history[i]`` is the success probability after ``i``
         iterations (entry 0 is the uniform superposition).
-    amplitude_snapshots:
-        Amplitude vectors recorded after requested iterations
-        (``{iteration: vector}``), for Fig. 12-style plots.
+    snapshots:
+        ``{iteration: (marked_amplitude, unmarked_amplitude)}`` after
+        requested iterations, for Fig. 12-style plots
+        (:attr:`amplitude_snapshots` expands them to vectors).
     depolarization:
         Accumulated depolarizing weight (0 = noiseless).  With weight
         ``d`` the measurement distribution is ``(1-d) * |amp|^2 + d/N``
@@ -63,25 +252,36 @@ class GroverRun:
     num_qubits: int
     marked: frozenset[int]
     iterations: int
-    amplitudes: np.ndarray
+    marked_amplitude: float
+    unmarked_amplitude: float
+    engine: PhaseOracleGrover = field(repr=False, compare=False)
     history: list[float] = field(default_factory=list)
-    amplitude_snapshots: dict[int, np.ndarray] = field(default_factory=dict)
+    snapshots: dict[int, tuple[float, float]] = field(default_factory=dict)
     depolarization: float = 0.0
 
     #: Lazily computed normalized measurement distribution; qTKP's
-    #: retry loop measures the same run repeatedly, so the ``amp**2`` /
-    #: normalization pass is paid once, not per attempt.
+    #: retry loop measures the same run repeatedly, so the ``2^n``
+    #: vector is built once, not per attempt.
     _probabilities: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Final real amplitude vector over the ``2^n`` basis states."""
+        return self.engine.expand(self.marked_amplitude, self.unmarked_amplitude)
+
+    @property
+    def amplitude_snapshots(self) -> dict[int, np.ndarray]:
+        """The requested snapshots as amplitude vectors."""
+        return {i: self.engine.expand(*pair) for i, pair in self.snapshots.items()}
 
     @property
     def success_probability(self) -> float:
         """Probability that measurement yields a marked state."""
         if not self.marked:
             return 0.0
-        idx = np.fromiter(self.marked, dtype=np.int64)
-        clean = float(np.sum(self.amplitudes[idx] ** 2))
+        clean = self.history[-1]
         if not self.depolarization:
             return clean
         uniform = len(self.marked) / (1 << self.num_qubits)
@@ -94,14 +294,15 @@ class GroverRun:
     def probabilities(self) -> np.ndarray:
         """The normalized measurement distribution (memoized)."""
         if self._probabilities is None:
-            probs = self.amplitudes ** 2
-            probs = probs / probs.sum()
+            a = self.marked_amplitude * self.marked_amplitude
+            b = self.unmarked_amplitude * self.unmarked_amplitude
+            total = self.engine.vector_sum(a, b)
+            a, b = a / total, b / total
             if self.depolarization:
-                probs = (
-                    (1.0 - self.depolarization) * probs
-                    + self.depolarization / probs.size
-                )
-            self._probabilities = probs
+                keep = 1.0 - self.depolarization
+                spread = self.depolarization / (1 << self.num_qubits)
+                a, b = keep * a + spread, keep * b + spread
+            self._probabilities = self.engine.expand(a, b)
         return self._probabilities
 
     def measure(self, shots: int, rng: np.random.Generator | None = None) -> dict[int, int]:
@@ -140,7 +341,8 @@ class PhaseOracleGrover:
         runs.
     """
 
-    #: refuse absurd widths (2^26 floats ~ 0.5 GB)
+    #: refuse absurd widths (measurement builds a 2^n float vector;
+    #: 2^26 floats ~ 0.5 GB)
     MAX_QUBITS = 26
 
     def __init__(
@@ -163,14 +365,17 @@ class PhaseOracleGrover:
             if arr.size and (int(arr[0]) < 0 or int(arr[-1]) >= dim):
                 raise ValueError("marked index out of range")
             marked = arr.tolist()
-        elif callable(oracle):
-            marked = [i for i in range(dim) if oracle(i)]
         else:
-            marked = sorted(set(int(i) for i in oracle))
-            if marked and (marked[0] < 0 or marked[-1] >= dim):
-                raise ValueError("marked index out of range")
+            if callable(oracle):
+                marked = [i for i in range(dim) if oracle(i)]
+            else:
+                marked = sorted(set(int(i) for i in oracle))
+                if marked and (marked[0] < 0 or marked[-1] >= dim):
+                    raise ValueError("marked index out of range")
+            arr = np.array(marked, dtype=np.int64)
         self.marked = frozenset(marked)
-        self._marked_array = np.fromiter(self.marked, dtype=np.int64) if marked else None
+        #: the marked indices, sorted
+        self._marked_array = arr
 
     @property
     def num_marked(self) -> int:
@@ -181,6 +386,22 @@ class PhaseOracleGrover:
         if not self.marked:
             return 0
         return optimal_iterations(1 << self.num_qubits, len(self.marked))
+
+    @cached_property
+    def vector_sum(self) -> TwoValuedSum:
+        """``np.add.reduce`` of a register holding one value on the
+        marked states and another on the rest (built on first use)."""
+        return TwoValuedSum(self.num_qubits, self._marked_array)
+
+    @cached_property
+    def _marked_sum(self) -> _Program:
+        return _uniform_sum_program(self.num_marked)
+
+    def expand(self, marked_value: float, unmarked_value: float) -> np.ndarray:
+        """The ``2^n`` vector holding ``marked_value`` on the marked states."""
+        vector = np.full(1 << self.num_qubits, unmarked_value)
+        vector[self._marked_array] = marked_value
+        return vector
 
     def run(
         self,
@@ -198,6 +419,10 @@ class PhaseOracleGrover:
         distribution; the amplitude trace itself (the noiseless branch)
         is unchanged, so ``depolarize=0.0`` is byte-identical to the
         noiseless path.
+
+        Each round costs O(1) scalar work plus one :attr:`vector_sum`
+        call; no ``2^n`` vector is built until the run is measured or
+        its amplitudes are read.
         """
         if iterations is None:
             iterations = self.optimal_iterations()
@@ -206,32 +431,35 @@ class PhaseOracleGrover:
         if not 0.0 <= depolarize < 1.0:
             raise ValueError(f"depolarize must be in [0, 1), got {depolarize}")
         dim = 1 << self.num_qubits
-        amp = np.full(dim, 1.0 / np.sqrt(dim))
+        a = b = float(1.0 / np.sqrt(dim))
         snapshots = {int(i) for i in snapshot_at}
-        run = GroverRun(self.num_qubits, self.marked, iterations, amp)
+        run = GroverRun(self.num_qubits, self.marked, iterations, a, b, self)
         if depolarize:
             run.depolarization = 1.0 - (1.0 - depolarize) ** iterations
         if 0 in snapshots:
-            run.amplitude_snapshots[0] = amp.copy()
-        run.history.append(self._success(amp))
+            run.snapshots[0] = (a, b)
+        run.history.append(self._success(a))
         for i in range(1, iterations + 1):
-            if self._marked_array is not None:
-                amp[self._marked_array] *= -1.0       # oracle sign flip
-            amp = 2.0 * amp.mean() - amp              # inversion about mean
-            run.history.append(self._success(amp))
+            flipped = -a                                     # oracle sign flip
+            twice_mean = 2.0 * (self.vector_sum(flipped, b) / dim)
+            a, b = twice_mean - flipped, twice_mean - b      # inversion about mean
+            run.history.append(self._success(a))
             if i in snapshots:
-                run.amplitude_snapshots[i] = amp.copy()
-        run.amplitudes = amp
+                run.snapshots[i] = (a, b)
+        run.marked_amplitude, run.unmarked_amplitude = a, b
         return run
 
     def theoretical_success(self, iterations: int) -> float:
         """Closed-form ``sin^2((2i+1) theta)`` for cross-checking."""
         return success_probability(1 << self.num_qubits, len(self.marked), iterations)
 
-    def _success(self, amp: np.ndarray) -> float:
-        if self._marked_array is None:
+    def _success(self, amplitude: float) -> float:
+        """Summed probability of the marked states, ``np.sum`` of M
+        copies of ``amplitude * amplitude`` (``**2`` would round
+        differently on some inputs)."""
+        if not self.marked:
             return 0.0
-        return float(np.sum(amp[self._marked_array] ** 2))
+        return self._marked_sum(amplitude * amplitude)
 
 
 def grover_circuit(num_qubits: int, oracle_circuit: QuantumCircuit, iterations: int) -> QuantumCircuit:

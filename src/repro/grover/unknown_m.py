@@ -94,9 +94,10 @@ def bbht_search(
         role of the hardware oracle; this driver never reads
         ``engine.num_marked``).
     max_oracle_calls:
-        Per-schedule abort threshold; defaults to ``4 * ceil(sqrt(N))``
-        plus slack, after which the schedule is exhausted (the correct
-        verdict when ``M = 0``, reached with certainty).
+        Per-schedule abort threshold; defaults to
+        ``6 * ceil(sqrt(N)) + 12``, after which the schedule is
+        exhausted (the correct verdict when ``M = 0``, reached with
+        certainty).
     restarts:
         How many times an exhausted schedule may restart from a fresh
         ceiling before the instance is declared unsolvable.  Noiseless

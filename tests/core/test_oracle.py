@@ -1,8 +1,17 @@
 """Unit tests for the k-cplex oracle (the heart of qTKP)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.oracle import KCplexOracle
+from repro.core.oracle import (
+    COMPONENT_DEGREE_COMPARE,
+    COMPONENT_DEGREE_COUNT,
+    COMPONENT_ENCODE,
+    COMPONENT_SIZE_CHECK,
+    KCplexOracle,
+    OracleCosts,
+)
 from repro.datasets import figure1_graph
 from repro.graphs import Graph, complete_graph, empty_graph, gnm_random_graph
 from repro.kplex import is_kplex
@@ -134,6 +143,68 @@ class TestComponentCosts:
         oracle = KCplexOracle(fig1.complement(), 2, 4)
         # one Toffoli per complement edge, counted twice (U and U-dagger)
         assert oracle.component_costs().encode == 2 * fig1.complement().num_edges
+
+
+def built_costs(oracle: KCplexOracle) -> OracleCosts:
+    """Component costs read off the fully built ``U_check``."""
+    forward = oracle.u_check.labelled_gate_counts()
+    return OracleCosts(
+        encode=2 * forward.get(COMPONENT_ENCODE, 0),
+        degree_count=2 * forward.get(COMPONENT_DEGREE_COUNT, 0),
+        degree_compare=2 * forward.get(COMPONENT_DEGREE_COMPARE, 0),
+        size_check=2 * forward.get(COMPONENT_SIZE_CHECK, 0),
+        mark=1,
+    )
+
+
+class TestCircuitFreeAccounting:
+    """``component_costs`` counts gates without building ``U_check``."""
+
+    @given(
+        st.integers(0, 11), st.data(), st.integers(1, 6),
+        st.sampled_from(["compact", "full_adder"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_built_circuit(self, n, data, k, adder):
+        m = data.draw(st.integers(0, n * (n - 1) // 2))
+        graph = gnm_random_graph(n, m, seed=data.draw(st.integers(0, 999)))
+        threshold = data.draw(st.integers(0, n))
+        oracle = KCplexOracle(graph.complement(), k, threshold, adder=adder)
+        assert oracle.component_costs() == built_costs(
+            KCplexOracle(graph.complement(), k, threshold, adder=adder)
+        )
+
+    @pytest.mark.parametrize("adder", ["compact", "full_adder"])
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            complete_graph(7),                         # complement: all isolated
+            empty_graph(6),                            # complement: complete
+            Graph(6, [(0, 1), (1, 2), (2, 0)]),        # isolated vertices 3..5
+            Graph(1),
+        ],
+        ids=["complete", "empty", "isolated", "single"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 4, 9])  # k - 1 >= 2^width: always pass
+    def test_edge_shapes(self, graph, k, adder):
+        n = graph.num_vertices
+        for threshold in (0, n):
+            oracle = KCplexOracle(graph.complement(), k, threshold, adder=adder)
+            assert oracle.component_costs() == built_costs(oracle)
+
+    def test_does_not_build_the_circuit(self, fig1, monkeypatch):
+        def refuse(self):
+            raise AssertionError("component_costs built U_check")
+
+        monkeypatch.setattr(KCplexOracle, "_circuit", property(refuse))
+        oracle = KCplexOracle(fig1.complement(), 2, 4)
+        assert oracle.component_costs().total > 0
+        with pytest.raises(AssertionError, match="built U_check"):
+            oracle.u_check
+
+    def test_circuit_is_built_once(self, fig1):
+        oracle = KCplexOracle(fig1.complement(), 2, 4)
+        assert oracle.u_check is oracle.u_check
 
 
 class TestDegenerateGraphs:

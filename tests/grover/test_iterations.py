@@ -25,6 +25,15 @@ class TestOptimalIterations:
     def test_majority_marked_gives_zero(self):
         assert optimal_iterations(4, 4) == 0
 
+    def test_zero_only_above_pi_over_4_squared(self):
+        """A marked majority alone does not give 0: the cut is (pi/4)^2 N."""
+        assert optimal_iterations(16, 9) == 1
+        assert optimal_iterations(16, 10) == 0
+        for n_states in (16, 64, 1024, 1 << 16):
+            for marked in range(n_states // 2, n_states + 1):
+                zero = marked > (math.pi / 4) ** 2 * n_states
+                assert (optimal_iterations(n_states, marked) == 0) == zero
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             optimal_iterations(0, 1)

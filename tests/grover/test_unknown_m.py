@@ -22,6 +22,16 @@ class TestBBHT:
         # the default budget, plus at most one overshooting round
         assert result.oracle_calls <= (6 * 4 + 12) + 4
 
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_default_abort_threshold(self, n):
+        """The default budget is 6 * ceil(sqrt(N)) + 12 oracle calls."""
+        engine = PhaseOracleGrover(n, [])
+        budget = 6 * int(np.ceil(np.sqrt(1 << n))) + 12
+        for seed in range(5):
+            default = bbht_search(engine, rng=seed)
+            assert default == bbht_search(engine, rng=seed, max_oracle_calls=budget)
+            assert budget <= default.oracle_calls < budget + int(np.ceil(np.sqrt(1 << n)))
+
     def test_cost_scales_with_rarity(self):
         """Expected calls grow as M shrinks (the O(sqrt(N/M)) law)."""
         n = 8
