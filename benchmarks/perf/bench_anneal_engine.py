@@ -23,7 +23,7 @@ The harness **gates on correctness, not just speed**:
   (zero drift, ``num_flips`` matching the spans' claims) and stay
   within the tracing-overhead limit;
 * the measured SA speedup must clear ``--min-speedup``;
-* every available kernel backend (numpy / numba / cext; see
+* every available kernel backend (numpy / cext; see
   :mod:`repro.perf.kernels`) must produce a fingerprint-identical
   sampleset, and the fastest compiled tier must clear
   ``--min-kernel-speedup`` over the NumPy reference end-to-end
@@ -45,11 +45,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -289,10 +291,11 @@ def main(argv: list[str] | None = None) -> int:
     for name in backends:
 
         def run_kernel(name=name):
-            return sampler.sample(
-                bqm, num_reads=args.reads, num_sweeps=args.sweeps,
-                seed=args.sample_seed, kernel=name,
-            )
+            with mock.patch.dict(os.environ, REPRO_KERNEL=name):
+                return sampler.sample(
+                    bqm, num_reads=args.reads, num_sweeps=args.sweeps,
+                    seed=args.sample_seed,
+                )
 
         run_kernel()  # warm the backend (compile/self-check outside timing)
         tier_s, tier_ss = _best_of(args.repeat, run_kernel)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -89,7 +90,7 @@ def maintenance_block(args) -> tuple[dict, list[str]]:
     stream = _edit_stream(graph, args.edits, args.graph_seed + 1)
 
     dg = DynamicGraph(graph)
-    cache = MarkedSetCache(kernel=args.kernel)
+    cache = MarkedSetCache()
     start = time.perf_counter()
     cache.table(dg.snapshot(), args.k)
     initial_sweep_s = time.perf_counter() - start
@@ -108,7 +109,7 @@ def maintenance_block(args) -> tuple[dict, list[str]]:
         fresh = None
         for _ in range(args.repeat):
             start = time.perf_counter()
-            fresh = MarkedSetCache(kernel=args.kernel).table(new, args.k)
+            fresh = MarkedSetCache().table(new, args.k)
             best_cold = min(best_cold, time.perf_counter() - start)
 
         if patched is None or not _tables_identical(patched, fresh):
@@ -166,7 +167,7 @@ def session_block(args) -> tuple[dict, list[str]]:
 
     tracer = Tracer()
     session = IncrementalSolver(
-        graph, args.k, seed=args.rng_seed, kernel=args.kernel, tracer=tracer
+        graph, args.k, seed=args.rng_seed, tracer=tracer
     )
     start = time.perf_counter()
     session.resolve()
@@ -185,7 +186,7 @@ def session_block(args) -> tuple[dict, list[str]]:
         cold = qmkp(
             dg.snapshot(), args.k,
             rng=session.step_rng(step_result.step),
-            cache=MarkedSetCache(kernel=args.kernel),
+            cache=MarkedSetCache(),
         )
         cold_s += time.perf_counter() - start
         if (
@@ -248,6 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", type=Path, default=None, help="output JSON path")
     args = parser.parse_args(argv)
+    if args.kernel:
+        os.environ["REPRO_KERNEL"] = args.kernel
 
     maint, maint_failures = maintenance_block(args)
     sess, sess_failures = session_block(args)

@@ -22,7 +22,7 @@ Two extension blocks (PR 7) ride on the same harness:
 
 * ``kernels`` — per-backend timing of the bit-parallel enumeration
   sweep (:func:`repro.perf.bitparallel.kplex_masks`) through every
-  available kernel tier (numpy / numba / cext), gated on byte-identical
+  available kernel tier (numpy / cext), gated on byte-identical
   mask arrays and, when a compiled tier exists, on a minimum speedup
   over the NumPy reference.  ``--enum-only`` restricts the run to this
   block so the committed ``n >= 24`` baseline stays tractable (a full
@@ -106,6 +106,8 @@ def kernel_comparison(graph, k, repeat: int, min_speedup: float) -> tuple[dict, 
     dependency).
     """
     import hashlib
+    import os
+    from unittest import mock
 
     from repro.perf.bitparallel import kplex_masks
     from repro.perf.kernels import available_backends
@@ -119,7 +121,8 @@ def kernel_comparison(graph, k, repeat: int, min_speedup: float) -> tuple[dict, 
         digest = None
         for _ in range(repeat):
             start = time.perf_counter()
-            masks, sizes = kplex_masks(graph, k, kernel=name)
+            with mock.patch.dict(os.environ, REPRO_KERNEL=name):
+                masks, sizes = kplex_masks(graph, k)
             best = min(best, time.perf_counter() - start)
             digest = hashlib.sha256(masks.tobytes() + sizes.tobytes()).hexdigest()
         block["tiers"][name] = {

@@ -38,6 +38,7 @@ import asyncio
 import hashlib
 import json
 import multiprocessing
+import os
 import platform
 import sys
 import tempfile
@@ -64,9 +65,10 @@ def _table_digest(table) -> str:
 def _fleet_job(task):
     """One worker-process job: build (or attach) the table, report back."""
     n, m, graph_seed, k, kernel, shared_dir = task
+    os.environ["REPRO_KERNEL"] = kernel  # this worker process only
     graph = gnm_random_graph(n, m, seed=graph_seed)
     shared = SharedTableStore(shared_dir) if shared_dir else None
-    cache = MarkedSetCache(kernel=kernel, shared=shared)
+    cache = MarkedSetCache(shared=shared)
     start = time.perf_counter()
     table = cache.table(graph, k)
     elapsed = time.perf_counter() - start

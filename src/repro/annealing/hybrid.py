@@ -87,13 +87,8 @@ class HybridSampler:
         time_limit_us: float = MIN_RUNTIME_US,
         seed: int | None = None,
         tracer=None,
-        kernel: str | None = None,
     ) -> SampleSet:
-        """Solve with the hybrid portfolio; runtime floored at 3 s.
-
-        ``kernel`` picks the sweep/tabu kernel backend for both stages
-        (:mod:`repro.perf.kernels`); all backends sample identically.
-        """
+        """Solve with the hybrid portfolio; runtime floored at 3 s."""
         bqm.require_finite()
         effective_us = max(float(time_limit_us), MIN_RUNTIME_US)
         sa = SimulatedAnnealingSampler()
@@ -103,7 +98,6 @@ class HybridSampler:
             num_sweeps=self.sweeps,
             seed=seed,
             tracer=tracer,
-            kernel=kernel,
         )
         polished: list[Sample] = []
         if raw.samples:
@@ -118,7 +112,6 @@ class HybridSampler:
                 initial_states=[dict(s.assignment) for s in raw.samples],
                 iterations=self.tabu_iterations,
                 tracer=tracer,
-                kernel=kernel,
             )
             for sample, assignment in zip(raw.samples, res.assignments):
                 assignment = steepest_descent(bqm, assignment)

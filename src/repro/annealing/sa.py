@@ -59,13 +59,8 @@ class SimulatedAnnealingSampler:
         beta_schedule: np.ndarray | None = None,
         workers: int | None = None,
         tracer=None,
-        kernel: str | None = None,
     ) -> SampleSet:
         """Run ``num_reads`` independent anneals of ``num_sweeps`` sweeps.
-
-        ``kernel`` selects the sweep kernel backend
-        (:mod:`repro.perf.kernels`); None honours ``REPRO_KERNEL``.
-        Every backend produces flip-for-flip identical samplesets.
 
         ``beta_schedule`` overrides the built-in geometric ramp with an
         explicit per-sweep beta sequence (see
@@ -137,7 +132,7 @@ class SimulatedAnnealingSampler:
                 uniforms = rng.random((num_sweeps, n, num_reads))
                 states, fields, per_sweep = sa_shard_reads(
                     csr.h, csr.indptr, csr.indices, csr.data, row_sums,
-                    init, betas, uniforms, workers, kernel=kernel,
+                    init, betas, uniforms, workers,
                 )
                 # Energies come straight from the returned fields —
                 # O(reads*n), no per-pair gather; row-wise reductions
@@ -157,9 +152,7 @@ class SimulatedAnnealingSampler:
                 for t, beta in enumerate(betas):
                     with tracer.span("anneal.sweep", sweep=t):
                         uniforms = rng.random((n, num_reads))
-                        flips = sa_sweep(
-                            plan, spins_t, float(beta), uniforms, kernel=kernel
-                        )
+                        flips = sa_sweep(plan, spins_t, float(beta), uniforms)
                         tracer.add("anneal_sweeps", 1)
                         tracer.add("anneal_flips", flips)
                         total_flips += flips

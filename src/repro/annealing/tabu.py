@@ -58,7 +58,6 @@ def batched_tabu(
     tenure: int | None = None,
     seed: int | None = None,
     tracer=None,
-    kernel: str | None = None,
     _record_flips: list | None = None,
 ) -> BatchedTabuResult:
     """Run ``num_restarts`` tabu trajectories as one replica matrix.
@@ -78,9 +77,6 @@ def batched_tabu(
         Optional :class:`repro.obs.Tracer`; opens one ``anneal.tabu``
         span whose step/flip counters the run ledger reconciles against
         ``info``.
-    kernel:
-        Kernel-backend name (:mod:`repro.perf.kernels`); None honours
-        ``REPRO_KERNEL``.  All backends flip identically.
     _record_flips:
         Test hook — a list that receives the chosen variable index per
         replica for every step (the flip-for-flip evidence the
@@ -134,7 +130,6 @@ def batched_tabu(
         best_x, best_energy = tabu_descend(
             csr.h, csr.indptr, csr.indices, csr.data,
             x, energies, iterations, tenure, record_flips=_record_flips,
-            kernel=kernel,
         )
         tracer.add("anneal_tabu_steps", iterations)
         tracer.add("anneal_tabu_flips", total_flips)
@@ -163,7 +158,6 @@ def tabu_search(
     tenure: int | None = None,
     seed: int | None = None,
     tracer=None,
-    kernel: str | None = None,
 ) -> tuple[dict[object, int], float]:
     """Minimise ``bqm``; returns ``(best_assignment, best_energy)``.
 
@@ -191,6 +185,5 @@ def tabu_search(
         tenure=tenure,
         seed=seed,
         tracer=tracer,
-        kernel=kernel,
     )
     return result.assignments[0], float(result.energies[0])

@@ -100,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "samples are rejected by the self-verifying measurement loop",
     )
     solve.add_argument(
-        "--kernel", choices=["auto", "numpy", "numba", "cext"], default=None,
-        help="compiled-kernel backend for the bit-parallel sweep and SA "
-        "inner loops (default: the REPRO_KERNEL env var, else auto = "
-        "fastest available; all backends are byte-identical)",
-    )
-    solve.add_argument(
         "--ladder", choices=["binary", "adaptive"], default="binary",
         help="qmkp: threshold-ladder strategy — 'binary' is the paper's "
         "Algorithm 3; 'adaptive' tracks incumbents from every measured "
@@ -314,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="qamkp-sa: per-step runtime budget (default 1000)",
     )
     watch.add_argument(
-        "--kernel", choices=["auto", "numpy", "numba", "cext"], default=None,
-        help="kernel backend for sweeps/patches/anneals",
-    )
-    watch.add_argument(
         "--out", metavar="PATH", default=None,
         help="write the per-step results as JSON to PATH",
     )
@@ -431,7 +421,7 @@ def _cmd_solve(args, graph, labels) -> int:
             result = qmkp(
                 graph, args.k, rng=rng,
                 use_cache=not args.no_cache, workers=args.workers,
-                ladder=args.ladder, kernel=args.kernel,
+                ladder=args.ladder,
                 tracer=tracer,
                 deadline=args.deadline,
                 checkpoint=args.checkpoint,
@@ -494,7 +484,6 @@ def _cmd_solve(args, graph, labels) -> int:
                 retries=args.retries, fallback=args.fallback,
                 fault_plan=args.inject_faults,
                 sa_workers=args.anneal_workers,
-                kernel=args.kernel,
                 tracer=tracer,
             )
         except (
@@ -670,7 +659,7 @@ def _cmd_watch(args, graph, labels) -> int:
     session = IncrementalSolver(
         graph, args.k, solver=args.solver, profile=args.profile,
         seed=args.seed, ladder=args.ladder, runtime_us=args.runtime_us,
-        kernel=args.kernel, tracer=tracer, checkpoint_dir=args.checkpoint_dir,
+        tracer=tracer, checkpoint_dir=args.checkpoint_dir,
     )
     steps: list[dict[str, object]] = []
     mismatches = 0
@@ -681,7 +670,7 @@ def _cmd_watch(args, graph, labels) -> int:
         if args.solver == "qmkp":
             cold = qmkp(
                 snapshot, args.k, rng=np.random.default_rng([args.seed, step.step]),
-                ladder=args.ladder, kernel=args.kernel,
+                ladder=args.ladder,
             )
             if args.profile == "exact":
                 same = (
@@ -699,7 +688,7 @@ def _cmd_watch(args, graph, labels) -> int:
             return len(cold.subset) == step.size, f"cold size={len(cold.subset)}"
         cold = qamkp(
             snapshot, args.k, solver="sa", runtime_us=args.runtime_us,
-            seed=session.step_sa_seed(step.step), kernel=args.kernel,
+            seed=session.step_sa_seed(step.step),
         )
         return cold.repaired == step.subset, f"cold size={len(cold.repaired)}"
 

@@ -108,7 +108,6 @@ def qamkp(
     fallback: bool = False,
     fault_plan: FaultPlan | str | None = None,
     sa_workers: int | None = None,
-    kernel: str | None = None,
     warm: frozenset[int] | None = None,
     tracer=None,
 ) -> QAMKPResult:
@@ -159,11 +158,6 @@ def qamkp(
     :meth:`repro.annealing.SimulatedAnnealingSampler.sample`); results
     stay byte-identical to single-process runs.
 
-    ``kernel`` selects the annealing kernel backend
-    (:mod:`repro.perf.kernels`) for the SA and hybrid solvers; every
-    backend produces identical samplesets, so this is purely a speed
-    knob.
-
     ``warm`` (SA solves only) seeds every read's initial state from a
     known vertex subset instead of uniform random bits: the subset's
     indicator is completed with its closed-form optimal slack
@@ -200,7 +194,7 @@ def qamkp(
         result = _qamkp_body(
             graph, k, penalty, runtime_us, delta_t_us, solver, qubo, qpu,
             seed, sa_shot_cost_us, retries, fallback, fault_plan, sa_workers,
-            kernel, warm, tracer,
+            warm, tracer,
         )
         tracer.add("qamkp_solves", 1)
         span.set("cost", result.cost)
@@ -221,7 +215,7 @@ def qamkp(
 def _qamkp_body(
     graph, k, penalty, runtime_us, delta_t_us, solver, qubo, qpu,
     seed, sa_shot_cost_us, retries, fallback, fault_plan, sa_workers,
-    kernel, warm, tracer,
+    warm, tracer,
 ) -> QAMKPResult:
     model = qubo or build_mkp_qubo(graph, k, penalty)
     info: dict[str, object] = {}
@@ -298,7 +292,6 @@ def _qamkp_body(
                 initial_states=initial_states,
                 workers=sa_workers,
                 tracer=tracer,
-                kernel=kernel,
             )
         if warm is not None:
             info["warm_start"] = True
@@ -316,7 +309,6 @@ def _qamkp_body(
         with tracer.span("qamkp.sample", backend="hybrid"):
             sampleset = sampler.sample(
                 model.bqm, time_limit_us=runtime_us, seed=seed, tracer=tracer,
-                kernel=kernel,
             )
         sampleset = _validated(sampleset, model)
         best = sampleset.first

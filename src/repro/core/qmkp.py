@@ -123,7 +123,6 @@ def qmkp(
     workers: int | None = None,
     ladder: str = "binary",
     warm: frozenset[int] | None = None,
-    kernel: str | None = None,
     tracer=None,
     deadline: DeadlineBudget | float | None = None,
     checkpoint: str | Path | None = None,
@@ -189,11 +188,6 @@ def qmkp(
         threshold sequence changes, so only the returned optimum size is
         guaranteed to match a cold run.  Incompatible with
         ``reduce_first`` (the seed is expressed in unreduced ids).
-    kernel:
-        Kernel-backend name for the run-local marked-set sweep
-        (:mod:`repro.perf.kernels`); ignored when an explicit ``cache``
-        is supplied (the cache carries its own).  All backends produce
-        byte-identical results.
     tracer:
         Optional :class:`repro.obs.Tracer`.  Opens a ``qmkp`` root span
         with one ``qtkp`` child per binary-search probe, routes the
@@ -252,7 +246,7 @@ def qmkp(
     rng = np.random.default_rng(rng)
     tracer = tracer or NULL_TRACER
     if cache is None and use_cache:
-        cache = MarkedSetCache(workers=workers, kernel=kernel)
+        cache = MarkedSetCache(workers=workers)
     if isinstance(gate_faults, str):
         gate_faults = GateFaultPlan.parse(gate_faults)
     injector = (

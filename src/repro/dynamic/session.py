@@ -132,9 +132,9 @@ class IncrementalSolver:
         ``np.random.default_rng([seed, i])`` (qMKP) or an integer
         derived from the same ``SeedSequence`` (SA), so any step can be
         reproduced cold without replaying the stream.
-    counting, ladder, runtime_us, kernel:
+    counting, ladder, runtime_us:
         Forwarded to the underlying solver (qMKP's counting/ladder,
-        SA's budget, the sweep/anneal kernel backend).
+        SA's budget).
     cache:
         The session's :class:`~repro.perf.MarkedSetCache` (qMKP only);
         created with room for patched tables when omitted.
@@ -157,7 +157,6 @@ class IncrementalSolver:
         counting: str = "exact",
         ladder: str = "binary",
         runtime_us: float = 1000.0,
-        kernel: str | None = None,
         cache: MarkedSetCache | None = None,
         tracer=None,
         checkpoint_dir: str | Path | None = None,
@@ -178,11 +177,10 @@ class IncrementalSolver:
         self.counting = counting
         self.ladder = ladder
         self.runtime_us = runtime_us
-        self.kernel = kernel
         # ``cache or ...`` would discard a caller-provided *empty* cache
         # (``MarkedSetCache.__len__`` makes it falsy) — e.g. the service
         # runner's fleet-shared cache before its first table build.
-        self.cache = cache if cache is not None else MarkedSetCache(kernel=kernel)
+        self.cache = cache if cache is not None else MarkedSetCache()
         self.tracer = tracer or NULL_TRACER
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -357,7 +355,6 @@ class IncrementalSolver:
             runtime_us=self.runtime_us,
             seed=self.step_sa_seed(step),
             warm=warm,
-            kernel=self.kernel,
             tracer=self.tracer,
         )
         return result, result.repaired, 0, int(warm is not None)

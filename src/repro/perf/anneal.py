@@ -44,11 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-try:  # compiled sparse matmul for the field setup; pure-NumPy fallback below
-    import scipy.sparse as _sparse
-except ImportError:  # pragma: no cover - exercised only without SciPy
-    _sparse = None
+import scipy.sparse as _sparse
 
 __all__ = [
     "CSRQuadratic",
@@ -155,12 +151,13 @@ class CSRQuadratic:
 
     @cached_property
     def spmatrix(self):
-        """SciPy CSR matrix of the symmetric couplings, or ``None``.
+        """SciPy CSR matrix of the symmetric couplings, or ``None``
+        when there are none.
 
         Built (and validated) once per model so per-sweep field
         refreshes go straight to the compiled matmul.
         """
-        if _sparse is None or not self.data.size:
+        if not self.data.size:
             return None
         n = self.num_variables
         return _sparse.csr_matrix(
@@ -214,19 +211,14 @@ def local_fields(
     only the flipped variable's neighbour columns.
     """
     states = np.asarray(states, dtype=np.float64)
-    num_reads = states.shape[0]
-    if _sparse is not None and data.size:
-        n = indptr.size - 1
-        j_sym = _sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        # J_sym is symmetric, so the row-wise product is one compiled
-        # sparse @ dense multiply over the transposed batch.
-        return np.asarray(h, dtype=np.float64) + (j_sym @ states.T).T
-    fields = np.tile(np.asarray(h, dtype=np.float64), (num_reads, 1))
-    for j in range(fields.shape[1]):
-        lo, hi = indptr[j], indptr[j + 1]
-        if hi > lo:
-            fields[:, j] += states[:, indices[lo:hi]] @ data[lo:hi]
-    return fields
+    h = np.asarray(h, dtype=np.float64)
+    if not data.size:
+        return np.tile(h, (states.shape[0], 1))
+    n = indptr.size - 1
+    j_sym = _sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    # J_sym is symmetric, so the row-wise product is one compiled
+    # sparse @ dense multiply over the transposed batch.
+    return h + (j_sym @ states.T).T
 
 
 def refresh_fields_t(
@@ -253,16 +245,10 @@ def refresh_fields_t(
     """
     if not data.size:
         return np.repeat(h[:, None], spins_t.shape[1], axis=1)
-    n = indptr.size - 1
-    if spmat is not None:
-        jt = spmat @ spins_t
-    elif _sparse is not None:
-        jt = _sparse.csr_matrix((data, indices, indptr), shape=(n, n)) @ spins_t
-    else:
-        jt = np.empty_like(spins_t)
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            jt[i] = data[lo:hi] @ spins_t[indices[lo:hi]] if hi > lo else 0.0
+    if spmat is None:
+        n = indptr.size - 1
+        spmat = _sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    jt = spmat @ spins_t
     np.subtract(row_sums[:, None], jt, out=jt)
     jt *= 0.5
     jt += h[:, None]
@@ -304,9 +290,9 @@ def build_sweep_plan(
     """Chunk schedule for :func:`sa_sweep`.
 
     Splits the variable range into blocks of ``chunk``.  Each entry
-    carries the block's CSR row slice (as a prebuilt SciPy matrix when
-    available, raw arrays otherwise) for the bulk field build, plus the
-    **intra-chunk forward** sub-structure — for each variable, its
+    carries the block's CSR row slice (raw arrays, plus a prebuilt SciPy
+    matrix when the block has couplings) for the bulk field build, plus
+    the **intra-chunk forward** sub-structure — for each variable, its
     couplings to later variables of the same chunk, with chunk-local
     column ids — which is the only part a flip still has to scatter to
     by hand.  Column ids are sorted within a CSR row, so both cuts are
@@ -325,7 +311,7 @@ def build_sweep_plan(
             _sparse.csr_matrix(
                 (sub_data, sub_indices, sub_indptr), shape=(end - start, n)
             )
-            if _sparse is not None and sub_data.size
+            if sub_data.size
             else None
         )
         iptr = [0]
@@ -362,12 +348,11 @@ def sa_sweep(
     spins_t: np.ndarray,
     beta: float,
     uniforms: np.ndarray,
-    kernel: str | None = None,
 ) -> int:
     """One Metropolis sweep over all variables, batched across replicas.
 
-    Dispatches to the selected kernel backend
-    (:mod:`repro.perf.kernels`; ``kernel=None`` honours ``REPRO_KERNEL``,
+    Dispatches to the process's kernel backend
+    (:func:`repro.perf.kernels.resolve`, selected by ``REPRO_KERNEL``,
     default ``auto``) and falls back to the NumPy reference
     (:func:`_sa_sweep_numpy`, documented below) whenever the inputs are
     not in the compiled kernels' canonical layout.  All backends make
@@ -377,7 +362,7 @@ def sa_sweep(
     """
     from .kernels import resolve
 
-    backend = resolve(kernel)
+    backend = resolve()
     if (
         backend.name != "numpy"
         and spins_t.dtype == np.float64
@@ -446,15 +431,6 @@ def _sa_sweep_numpy(
     for start, end, jc, sub_indptr, sub_indices, sub_data, h_c, rs_c, iptr, icols, ivals in plan:
         if jc is not None:
             jt = jc @ spins_t
-        elif sub_data.size:
-            jt = np.empty((end - start, num_reads))
-            for li in range(end - start):
-                lo, hi = int(sub_indptr[li]), int(sub_indptr[li + 1])
-                jt[li] = (
-                    sub_data[lo:hi] @ spins_t[sub_indices[lo:hi]]
-                    if hi > lo
-                    else 0.0
-                )
         else:
             jt = np.zeros((end - start, num_reads))
         np.subtract(rs_c[:, None], jt, out=jt)
@@ -550,13 +526,15 @@ def fields_energies_t(
 
 
 def _sa_shard_worker(
-    args: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, str | None],
+    args: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    h, indptr, indices, data, row_sums, states, betas, uniforms, kernel = args
+    # The kernel tier comes from the inherited environment
+    # (``REPRO_KERNEL``), exactly as in the parent process.
+    h, indptr, indices, data, row_sums, states, betas, uniforms = args
     n = indptr.size - 1
     spmat = (
         _sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        if _sparse is not None and data.size
+        if data.size
         else None
     )
     plan = build_sweep_plan(h, indptr, indices, data, row_sums)
@@ -565,7 +543,7 @@ def _sa_shard_worker(
     spins_t += 1.0                                   # ±1 view: t = 1 - 2s
     flips = np.zeros(len(betas), dtype=np.int64)
     for t, beta in enumerate(betas):
-        flips[t] = sa_sweep(plan, spins_t, float(beta), uniforms[t], kernel=kernel)
+        flips[t] = sa_sweep(plan, spins_t, float(beta), uniforms[t])
     fields_t = refresh_fields_t(h, indptr, indices, data, row_sums, spins_t, spmat)
     out = spins_t.T.astype(np.float64, order="C")
     out -= 1.0
@@ -587,7 +565,6 @@ def sa_shard_reads(
     betas: np.ndarray,
     uniforms: np.ndarray,
     workers: int,
-    kernel: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fan the replica batch over a process pool, shard by reads.
 
@@ -609,7 +586,6 @@ def sa_shard_reads(
             states[sel].copy(),
             betas,
             np.ascontiguousarray(uniforms[:, :, sel]),
-            kernel,
         )
         for sel in shards
         if sel.size
@@ -650,12 +626,11 @@ def tabu_descend(
     iterations: int,
     tenure: int,
     record_flips: list | None = None,
-    kernel: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched single-flip tabu search over ``(num_restarts, n)`` states.
 
-    Dispatches to the selected kernel backend exactly like
-    :func:`sa_sweep` (``kernel=None`` honours ``REPRO_KERNEL``); the
+    Dispatches to the process's kernel backend exactly like
+    :func:`sa_sweep`; the
     tabu loop has no transcendentals, so every backend reproduces the
     reference flip-for-flip and byte-for-byte.  Falls back to the NumPy
     reference (:func:`_tabu_descend_numpy`, documented below) when the
@@ -663,7 +638,7 @@ def tabu_descend(
     """
     from .kernels import resolve
 
-    backend = resolve(kernel)
+    backend = resolve()
     energies_arr = np.asarray(energies, dtype=np.float64)
     if (
         backend.name != "numpy"

@@ -99,16 +99,17 @@ def _enumerate_chunk(
 
 
 def _chunk_worker(
-    args: tuple[tuple[int, ...], int, int, int, str]
+    args: tuple[tuple[int, ...], int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    adj_masks, limit, start, stop, kernel = args
-    # Each pool process resolves the backend by name: the compiled
-    # library loads from the shared on-disk cache, so children never
-    # re-compile, and a child without the toolchain falls back to the
-    # reference (byte-identical output either way).
+    adj_masks, limit, start, stop = args
+    # Each pool process resolves the backend from its inherited
+    # environment (``REPRO_KERNEL``): the compiled library loads from
+    # the shared on-disk cache, so children never re-compile, and a
+    # child without the toolchain falls back to the reference
+    # (byte-identical output either way).
     from .kernels import resolve
 
-    return resolve(kernel).enumerate_chunk(adj_masks, limit, start, stop)
+    return resolve().enumerate_chunk(adj_masks, limit, start, stop)
 
 
 def _enumerate(
@@ -118,7 +119,6 @@ def _enumerate(
     chunk_masks: int | None,
     workers: int | None,
     tracer=None,
-    kernel: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -128,7 +128,9 @@ def _enumerate(
         )
     from .kernels import resolve
 
-    backend = resolve(kernel)
+    # Resolved here even when chunks fan out, so a compiled tier is
+    # built once before the pool starts.
+    backend = resolve()
     tracer = tracer or NULL_TRACER
     num_masks = 1 << num_vertices
     size = _chunk_size(num_masks, chunk_masks)
@@ -137,7 +139,7 @@ def _enumerate(
     if workers is not None and workers > 1 and len(spans) > 1:
         import multiprocessing
 
-        jobs = [(tuple(adj_masks), limit, s, e, backend.name) for s, e in spans]
+        jobs = [(tuple(adj_masks), limit, s, e) for s, e in spans]
         with multiprocessing.Pool(min(workers, len(spans))) as pool:
             parts = pool.map(_chunk_worker, jobs)
         # Pool workers are separate processes: charge their chunk scans
@@ -161,7 +163,6 @@ def kcplex_masks(
     chunk_masks: int | None = None,
     workers: int | None = None,
     tracer=None,
-    kernel: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All bitmasks whose subsets are k-cplexes of ``graph``.
 
@@ -182,14 +183,14 @@ def kcplex_masks(
         Optional :class:`repro.obs.Tracer`; chunk/mask scan counts are
         charged to the current span (``perf_chunks_scanned``,
         ``perf_masks_scanned``).
-    kernel:
-        Kernel-backend name (``repro.perf.kernels``); None honours the
-        ``REPRO_KERNEL`` environment variable (default ``auto``).  All
-        backends return byte-identical masks.
+
+    The sweep runs on the process's kernel backend
+    (:func:`repro.perf.kernels.resolve`, selected by ``REPRO_KERNEL``);
+    every backend returns byte-identical masks.
     """
     return _enumerate(
         graph.adjacency_masks(), graph.num_vertices, k, chunk_masks, workers,
-        tracer, kernel,
+        tracer,
     )
 
 
@@ -232,7 +233,6 @@ def kplex_masks_containing(
     *vertices: int,
     chunk_masks: int | None = None,
     tracer=None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Marked k-plex masks among all masks containing every ``vertices``.
 
@@ -264,7 +264,7 @@ def kplex_masks_containing(
         raise ValueError(f"pinned vertices out of range: {vertices}")
     from .kernels import resolve
 
-    backend = resolve(kernel)
+    backend = resolve()
     tracer = tracer or NULL_TRACER
     free = [w for w in range(n) if w not in vertices]
     perm = free + list(vertices)  # new bit position -> original vertex
@@ -310,7 +310,6 @@ def kplex_masks(
     chunk_masks: int | None = None,
     workers: int | None = None,
     tracer=None,
-    kernel: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All bitmasks whose subsets are k-plexes of ``graph``.
 
@@ -320,5 +319,5 @@ def kplex_masks(
     """
     return _enumerate(
         graph.complement_adjacency_masks(), graph.num_vertices, k,
-        chunk_masks, workers, tracer, kernel,
+        chunk_masks, workers, tracer,
     )

@@ -208,7 +208,7 @@ class MarkedSetCache:
     ----------
     max_entries:
         Tables kept before least-recently-used eviction.
-    chunk_masks, workers, kernel:
+    chunk_masks, workers:
         Forwarded to :func:`repro.perf.bitparallel.kplex_masks`.
     tracer:
         Optional :class:`repro.obs.Tracer`; hit/miss accounting and the
@@ -231,7 +231,6 @@ class MarkedSetCache:
         max_entries: int = 8,
         chunk_masks: int | None = None,
         workers: int | None = None,
-        kernel: str | None = None,
         tracer=None,
         shared=None,
     ) -> None:
@@ -240,7 +239,6 @@ class MarkedSetCache:
         self.max_entries = max_entries
         self.chunk_masks = chunk_masks
         self.workers = workers
-        self.kernel = kernel
         self.tracer = tracer or NULL_TRACER
         self.shared = shared
         self.hits = 0
@@ -274,7 +272,7 @@ class MarkedSetCache:
 
     def _shared_publish(self, key: tuple[str, int], table: MarkedSetTable) -> None:
         """Feed a freshly built (or patched) table back to the fleet."""
-        if self.shared.publish(key[0], key[1], table, kernel=self.kernel):
+        if self.shared.publish(key[0], key[1], table):
             self.shared_publishes += 1
             self.tracer.add("cache_shared_publishes", 1)
 
@@ -301,7 +299,7 @@ class MarkedSetCache:
         with self.tracer.span("perf.sweep", n=graph.num_vertices, k=k) as span:
             masks, sizes = kplex_masks(
                 graph, k, chunk_masks=self.chunk_masks, workers=self.workers,
-                tracer=self.tracer, kernel=self.kernel,
+                tracer=self.tracer,
             )
             span.set("num_marked", int(masks.size))
         table = MarkedSetTable(graph.num_vertices, masks, sizes)
@@ -417,9 +415,7 @@ class MarkedSetCache:
             "perf.patch", op=op, n=n, k=k, candidates=num_candidates
         ) as span:
             if pinned is not None:
-                additions = kplex_masks_containing(
-                    new_graph, k, *pinned, kernel=self.kernel
-                )
+                additions = kplex_masks_containing(new_graph, k, *pinned)
             else:
                 status = kplex_mask_status(new_graph, k, candidates)
                 additions = candidates[status].astype(np.int64)
@@ -503,7 +499,7 @@ class MarkedSetCache:
             edits=len(pairs), candidates=num_candidates,
         ) as span:
             parts = [
-                kplex_masks_containing(new_graph, k, u, v, kernel=self.kernel)
+                kplex_masks_containing(new_graph, k, u, v)
                 for u, v in pairs
             ]
             additions = np.unique(np.concatenate(parts)).astype(np.int64)

@@ -1,6 +1,8 @@
 """C-extension kernel tier: on-demand compiled ``_kernels.c`` via ctypes.
 
-A "cython-style" compiled tier without build-time machinery: the C
+The one compiled tier of :mod:`repro.perf.kernels` (selected by
+``REPRO_KERNEL=cext``, or by ``auto`` whenever it builds), built
+without build-time machinery: the C
 source ships as package data, and the first resolution of the ``cext``
 backend compiles it with the system C compiler into a per-source-digest
 shared library under a user cache directory (atomic rename, so
@@ -22,6 +24,10 @@ Every load self-validates against the NumPy reference on a fixed probe
 instance before the backend is offered; any mismatch raises
 :class:`~repro.perf.kernels.KernelUnavailable` and the registry falls
 back to NumPy.
+
+A sweep is one native call (``sa_sweep_plan``) over the whole packed
+plan (:func:`~repro.perf.kernels.pack_sweep_plan`); the C side walks
+the chunks itself through ``sa_sweep_chunk``.
 """
 
 from __future__ import annotations
@@ -112,15 +118,6 @@ def _load_library() -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64,  # limit, start, stop
         _U64, _I64,                                      # out_masks, out_sizes
     ]
-    lib.sa_sweep_chunk.restype = ctypes.c_int64
-    lib.sa_sweep_chunk.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # reads, start, end
-        _I64, _I64, _F64,                                # sub csr
-        _F64, _F64,                                      # h_c, rs_c
-        _I64, _I64, _F64,                                # iptr, icols, ivals
-        _F64, _F64, ctypes.c_double,                     # spins_t, uniforms, -beta
-        _F64,                                            # fields scratch
-    ]
     lib.sa_sweep_plan.restype = ctypes.c_int64
     lib.sa_sweep_plan.argtypes = [
         ctypes.c_int64, ctypes.c_int64,                  # reads, nchunks
@@ -179,46 +176,25 @@ class CExtKernels(KernelBackend):
     def sa_sweep(self, plan, spins_t, beta, uniforms):
         from .kernels import pack_sweep_plan
 
+        if not plan:
+            return 0
         reads = spins_t.shape[1]
-        neg_beta = -float(beta)
-        spins_t = np.ascontiguousarray(spins_t)
-        uniforms = np.ascontiguousarray(uniforms)
         pack = pack_sweep_plan(plan)
-        if pack is not None:
-            # One native call per sweep: the packing is memoized on the
-            # plan, so repeat sweeps pay only this dispatch.
-            scratch = np.empty(pack.max_chunk * reads, dtype=np.float64)
-            return int(
-                self._lib.sa_sweep_plan(
-                    reads, pack.nchunks, pack.bounds,
-                    pack.ip_flat, pack.ip_off,
-                    pack.nz_cols, pack.nz_vals, pack.nz_off,
-                    pack.h, pack.rs,
-                    pack.sp_ptr_flat, pack.sp_ptr_off,
-                    pack.sp_cols, pack.sp_vals, pack.sp_nz_off,
-                    spins_t, uniforms, neg_beta, scratch,
-                )
+        # One native call per sweep: the packing is memoized on the
+        # plan, so repeat sweeps pay only this dispatch.
+        scratch = np.empty(pack.max_chunk * reads, dtype=np.float64)
+        return int(
+            self._lib.sa_sweep_plan(
+                reads, pack.nchunks, pack.bounds,
+                pack.ip_flat, pack.ip_off,
+                pack.nz_cols, pack.nz_vals, pack.nz_off,
+                pack.h, pack.rs,
+                pack.sp_ptr_flat, pack.sp_ptr_off,
+                pack.sp_cols, pack.sp_vals, pack.sp_nz_off,
+                np.ascontiguousarray(spins_t), np.ascontiguousarray(uniforms),
+                -float(beta), scratch,
             )
-        # Irregular (hand-built) plan: per-chunk dispatch.
-        max_chunk = max((end - start for start, end, *_ in plan), default=0)
-        scratch = np.empty(max_chunk * reads, dtype=np.float64)
-        flips = 0
-        for (
-            start, end, _jc, sub_indptr, sub_indices, sub_data,
-            h_c, rs_c, iptr, icols, ivals,
-        ) in plan:
-            flips += self._lib.sa_sweep_chunk(
-                reads, start, end,
-                np.ascontiguousarray(sub_indptr, dtype=np.int64),
-                np.ascontiguousarray(sub_indices, dtype=np.int64),
-                np.ascontiguousarray(sub_data, dtype=np.float64),
-                h_c, rs_c,
-                np.asarray(iptr, dtype=np.int64),
-                np.ascontiguousarray(icols, dtype=np.int64),
-                np.ascontiguousarray(ivals, dtype=np.float64),
-                spins_t, uniforms, neg_beta, scratch,
-            )
-        return int(flips)
+        )
 
     def tabu_descend(
         self, h, indptr, indices, data, x, energies, iterations, tenure,

@@ -4,34 +4,35 @@ Three inner loops dominate the pipeline's classical runtime — the
 bit-parallel mask enumeration (:func:`repro.perf.bitparallel`'s chunk
 sweep), the CSR Metropolis sweep, and the batched tabu flip loop
 (:mod:`repro.perf.anneal`).  Each has exactly one reference
-implementation (pure NumPy, byte-identical to the seed) and up to two
-compiled twins behind a common :class:`KernelBackend` interface:
+implementation (pure NumPy, byte-identical to the seed) and one
+compiled twin behind a common :class:`KernelBackend` interface:
 
 * ``numpy`` — the reference.  Always available; selecting it (or having
-  no compiler/JIT available at all) reproduces seed-era results
-  bit-for-bit.
-* ``numba`` — ``@njit`` twins (:mod:`repro.perf.jit`), used when the
-  optional ``numba`` package is importable.  Never a hard dependency.
+  no C compiler at all) reproduces seed-era results bit-for-bit.
 * ``cext`` — a C translation (:mod:`repro.perf.cext`) compiled on
   demand from the packaged ``_kernels.c`` with the system C compiler
   and driven through ``ctypes``; cached as a shared library per source
   digest.
 
-Selection is by name — the ``REPRO_KERNEL`` environment variable, the
-CLI's ``--kernel`` flag, or an explicit ``kernel=`` argument — with
-``auto`` picking the fastest available tier (numba, then cext, then
-numpy).  Requesting a compiled backend that is unavailable falls back
-to NumPy *silently*: the compiled tiers are accelerators, never
-correctness requirements.  Every compiled backend self-validates on
-first load (a fixed probe instance is run through both it and the
-reference; any mismatch disqualifies the backend for the process), so
-a miscompiled library degrades to the reference instead of corrupting
-results.
+The hot loops take no backend argument: the one selector is the
+``REPRO_KERNEL`` environment variable (``auto``, ``numpy`` or
+``cext``; default ``auto``), read by :func:`resolve` and inherited by
+pool workers.  ``auto`` uses ``cext`` when it builds and
+self-validates, else ``numpy``, quietly.  A *named* compiled tier that
+is unavailable also falls back to NumPy — the compiled tiers are
+accelerators, never correctness requirements — but, being a request,
+it emits one :class:`RuntimeWarning` per process carrying the
+:class:`KernelUnavailable` reason.  Every compiled backend
+self-validates on first load (a fixed probe instance is run through
+both it and the reference; any mismatch disqualifies the backend for
+the process), so a miscompiled library degrades to the reference
+instead of corrupting results.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -43,11 +44,8 @@ __all__ = [
     "resolve",
 ]
 
-#: Resolution order for ``auto``.
-_AUTO_ORDER = ("numba", "cext", "numpy")
-
 #: Recognised backend names (``auto`` resolves to one of these).
-KERNEL_NAMES = ("numpy", "numba", "cext")
+KERNEL_NAMES = ("numpy", "cext")
 
 
 class KernelUnavailable(RuntimeError):
@@ -108,24 +106,21 @@ class PackedPlan:
     )
 
 
-def pack_sweep_plan(plan) -> PackedPlan | None:
+def pack_sweep_plan(plan) -> PackedPlan:
     """Flatten ``plan`` (see :func:`repro.perf.anneal.build_sweep_plan`)
     into a :class:`PackedPlan`, memoized on the plan when it is a
     :class:`~repro.perf.anneal.SweepPlan`.
 
-    Returns None for plans whose chunks do not tile ``[0, n)``
-    contiguously (never produced by ``build_sweep_plan``; a hand-built
-    irregular plan keeps the per-chunk path).
+    Raises ``ValueError`` for a plan whose chunks do not tile
+    ``[0, n)`` contiguously; ``build_sweep_plan`` never produces one.
     """
     cached = getattr(plan, "kernel_pack", None)
     if cached is not None:
         return cached
-    if not plan:
-        return None
-    if plan[0][0] != 0 or any(
+    if not plan or plan[0][0] != 0 or any(
         plan[c][1] != plan[c + 1][0] for c in range(len(plan) - 1)
     ):
-        return None
+        raise ValueError("sweep plan chunks must tile [0, n) contiguously")
     pack = PackedPlan()
     pack.nchunks = len(plan)
     bounds = [p[0] for p in plan] + [plan[-1][1]]
@@ -201,44 +196,33 @@ def _make_numpy() -> KernelBackend:
     return NumpyKernels()
 
 
-def _make_numba() -> KernelBackend:
-    from .jit import NumbaKernels  # raises KernelUnavailable without numba
-
-    return NumbaKernels()
-
-
 def _make_cext() -> KernelBackend:
     from .cext import CExtKernels  # raises KernelUnavailable without a compiler
 
     return CExtKernels()
 
 
-_FACTORIES = {"numpy": _make_numpy, "numba": _make_numba, "cext": _make_cext}
+_FACTORIES = {"numpy": _make_numpy, "cext": _make_cext}
 
-#: Resolved backend singletons (``False`` marks a failed construction,
-#: so an unavailable toolchain is probed once per process, not per call).
-_instances: dict[str, KernelBackend | bool] = {}
+#: Resolved backend singletons, or the reason a construction failed (so
+#: an unavailable toolchain is probed once per process, not per call).
+_instances: dict[str, KernelBackend | str] = {}
+
+#: Named tiers whose fallback to NumPy has already been warned about.
+_warned: set[str] = set()
 
 
 def _get(name: str) -> KernelBackend | None:
     """The backend singleton for ``name``, or None if unavailable."""
-    cached = _instances.get(name)
-    if cached is False:
-        return None
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    try:
-        backend = _FACTORIES[name]()
-    except KernelUnavailable:
-        _instances[name] = False
-        return None
-    except Exception:
-        # A broken toolchain (compiler present but miscompiling, numba
-        # importable but crashing) must degrade, not poison the solve.
-        _instances[name] = False
-        return None
-    _instances[name] = backend
-    return backend
+    if name not in _instances:
+        try:
+            _instances[name] = _FACTORIES[name]()
+        except Exception as exc:
+            # KernelUnavailable, or a broken toolchain (compiler present
+            # but miscompiling): degrade, never poison the solve.
+            _instances[name] = f"{type(exc).__name__}: {exc}"
+    cached = _instances[name]
+    return cached if isinstance(cached, KernelBackend) else None
 
 
 def available_backends() -> list[str]:
@@ -249,28 +233,33 @@ def available_backends() -> list[str]:
 def resolve(name: str | None = None) -> KernelBackend:
     """The backend to use for ``name``.
 
-    ``None`` or ``"auto"`` reads ``REPRO_KERNEL`` (itself defaulting to
-    ``auto``); ``auto`` walks :data:`_AUTO_ORDER` and returns the first
-    tier that constructs and self-validates.  A *named* tier that is
-    unavailable falls back to NumPy silently — per the contract that
-    compiled tiers are accelerators only.  Unknown names raise
-    ``ValueError`` (they are typos, not missing toolchains).
+    ``None`` reads ``REPRO_KERNEL`` (itself defaulting to ``auto``);
+    ``auto`` returns ``cext`` when it constructs and self-validates,
+    else ``numpy``.  A *named* tier that is unavailable
+    falls back to NumPy — per the contract that compiled tiers are
+    accelerators only — with one ``RuntimeWarning`` per process naming
+    the reason.  Unknown names raise ``ValueError`` (they are typos,
+    not missing toolchains).
     """
     if name is None:
         name = os.environ.get("REPRO_KERNEL") or "auto"
     name = name.strip().lower()
     if name == "auto":
-        for candidate in _AUTO_ORDER:
-            backend = _get(candidate)
-            if backend is not None:
-                return backend
-        return NumpyKernels()  # unreachable: numpy always constructs
+        return _get("cext") or _get("numpy")
     if name not in _FACTORIES:
         raise ValueError(
             f"unknown kernel backend {name!r}; expected one of "
             f"{('auto',) + KERNEL_NAMES}"
         )
     backend = _get(name)
-    if backend is None:
-        backend = _get("numpy")
-    return backend
+    if backend is not None:
+        return backend
+    if name not in _warned:
+        _warned.add(name)
+        warnings.warn(
+            f"kernel backend {name!r} unavailable ({_instances[name]}); "
+            "using numpy",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return _get("numpy")

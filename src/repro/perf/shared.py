@@ -150,7 +150,6 @@ class SharedTableStore:
         fingerprint: str,
         k: int,
         table: MarkedSetTable,
-        kernel: str | None = None,
     ) -> bool:
         """Install ``table`` as the segment for ``(fingerprint, k)``.
 
@@ -163,9 +162,9 @@ class SharedTableStore:
         same way.  A SIGKILL at any point leaves the previous state.
         """
         with self._lock:
-            return self._publish_locked(fingerprint, k, table, kernel)
+            return self._publish_locked(fingerprint, k, table)
 
-    def _publish_locked(self, fingerprint, k, table, kernel) -> bool:
+    def _publish_locked(self, fingerprint, k, table) -> bool:
         final = self.segment_path(fingerprint, k)
         if final.exists():
             try:
@@ -184,7 +183,6 @@ class SharedTableStore:
             "num_marked": int(by_size.size),
             "offsets_len": int(offsets.size),
             "dtype": str(by_size.dtype),
-            "kernel": kernel,
             "generation": self.generation(fingerprint, k) + 1,
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("ascii")

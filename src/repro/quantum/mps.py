@@ -88,6 +88,10 @@ class MatrixProductState:
         norm has drifted more than this below 1 (truncation discarded
         real Schmidt weight).  ``None`` disables the guard and returns
         the unnormalized numbers, matching the old silent behaviour.
+
+    ``svd_fallbacks`` counts the splits whose default SVD (LAPACK
+    ``gesdd``) failed to converge and were redone with the slower,
+    more robust ``gesvd`` driver.
     """
 
     def __init__(
@@ -106,6 +110,7 @@ class MatrixProductState:
         self.max_bond = max_bond
         self.norm_tolerance = norm_tolerance
         self.truncation_error = 0.0
+        self.svd_fallbacks = 0
         zero = np.zeros((1, 2, 1), dtype=complex)
         zero[0, 0, 0] = 1.0
         self._sites: list[np.ndarray] = [zero.copy() for _ in range(num_qubits)]
@@ -272,7 +277,7 @@ class MatrixProductState:
             chi_left = remainder.shape[0]
             rest_dim = remainder.shape[1] // 2
             m = remainder.reshape(chi_left * 2, rest_dim * remainder.shape[2])
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
+            u, s, vh = self._svd(m)
             keep, discarded = _truncation_rank(s, self.max_bond)
             self.truncation_error += discarded
             u, s, vh = u[:, :keep], s[:keep], vh[:keep]
@@ -281,6 +286,23 @@ class MatrixProductState:
         tensors.append(remainder)
         for offset, tensor in enumerate(tensors):
             self._sites[block[0] + offset] = tensor
+
+    def _svd(self, m: np.ndarray):
+        """Thin SVD of ``m``; retries with ``gesvd`` when ``gesdd`` fails.
+
+        ``gesdd`` can reject finite matrices whose entries span many
+        orders of magnitude ("SVD did not converge"); ``gesvd`` handles
+        them, and every such retry is counted in ``svd_fallbacks``.
+        """
+        try:
+            return np.linalg.svd(m, full_matrices=False)
+        except np.linalg.LinAlgError:
+            import scipy.linalg
+
+            self.svd_fallbacks += 1
+            return scipy.linalg.svd(
+                m, full_matrices=False, lapack_driver="gesvd"
+            )
 
 
 def _truncation_rank(

@@ -159,22 +159,24 @@ class TestJournalReplay:
             # The extended journal must equal the uninterrupted one.
             assert part.read_text() == ref_path.read_text()
 
-    def test_resume_across_kernel_backends(self, tmp_path):
+    def test_resume_across_kernel_backends(self, tmp_path, monkeypatch):
         backends = available_backends()
         if len(backends) < 2:
             pytest.skip("only one kernel backend available")
         graph = _random_graph(11, 0.5, 17)
         ref_path = tmp_path / "ref.wal"
+        monkeypatch.setenv("REPRO_KERNEL", backends[0])
         ref = qmkp(
             graph, 2, counting="bbht", rng=42, ladder="adaptive",
-            checkpoint=ref_path, kernel=backends[0],
+            checkpoint=ref_path,
         )
         lines = ref_path.read_text().splitlines()
         part = tmp_path / "part.wal"
         part.write_text("\n".join(lines[:2]) + "\n")
+        monkeypatch.setenv("REPRO_KERNEL", backends[-1])
         res = qmkp(
             graph, 2, counting="bbht", rng=42, ladder="adaptive",
-            resume=part, checkpoint=part, kernel=backends[-1],
+            resume=part, checkpoint=part,
         )
         assert res.subset == ref.subset
         assert res.oracle_calls == ref.oracle_calls

@@ -77,14 +77,16 @@ class TestMarkedMasksContaining:
         assert np.array_equal(got, expected)  # ascending, byte-identical
         assert got.dtype == expected.dtype
 
-    def test_kernel_tiers_agree(self):
+    def test_kernel_tiers_agree(self, monkeypatch):
         from repro.perf import available_backends
 
         graph = gnm_random_graph(9, 20, seed=4)
-        reference = kplex_masks_containing(graph, 2, 1, 5, kernel="numpy")
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        reference = kplex_masks_containing(graph, 2, 1, 5)
         for name in available_backends():
+            monkeypatch.setenv("REPRO_KERNEL", name)
             assert np.array_equal(
-                kplex_masks_containing(graph, 2, 1, 5, kernel=name), reference
+                kplex_masks_containing(graph, 2, 1, 5), reference
             ), name
 
     def test_validation(self):

@@ -1,18 +1,23 @@
 """Byte-identity of the compiled kernel tier against the NumPy reference.
 
-The contract that makes ``--kernel`` safe to flip in production: every
-backend — NumPy reference, numba JIT, C extension — produces the *same
+The contract that makes ``REPRO_KERNEL`` safe to flip in production:
+every backend — NumPy reference, C extension — produces the *same
 bytes* for the three hot loops (bit-parallel mask enumeration, CSR
 Metropolis sweep, batched tabu descent), for any input, any chunking,
-and any replica batch shape.  Hypothesis draws half-integer
-coefficients, for which every float64 field/energy is exact regardless
-of summation order, so "byte-identical" is deterministic here, not
-probabilistic.
+any replica batch shape, and in-process or fanned over a pool.
+Hypothesis draws half-integer coefficients, for which every float64
+field/energy is exact regardless of summation order, so
+"byte-identical" is deterministic here, not probabilistic.
 
-Backends that cannot construct in this environment (no numba package,
-no C compiler) are skip-marked, never failed: the tier is an
+Kernel-level cases call ``resolve(name).<loop>`` directly; pipeline
+cases (the public entry points, which take no backend argument) switch
+``REPRO_KERNEL``.  A backend that cannot construct in this environment
+(no C compiler) is skip-marked, never failed: the tier is an
 accelerator, not a dependency.
 """
+
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,10 +26,18 @@ from hypothesis import strategies as st
 
 from repro.annealing import BinaryQuadraticModel, SimulatedAnnealingSampler
 from repro.graphs import Graph
-from repro.perf.anneal import SweepPlan, build_sweep_plan, sa_sweep, tabu_descend
+from repro.perf import kernels
+from repro.perf.anneal import (
+    SweepPlan,
+    build_sweep_plan,
+    sa_shard_reads,
+    sa_sweep,
+    tabu_descend,
+)
 from repro.perf.bitparallel import kplex_masks
 from repro.perf.kernels import (
     KERNEL_NAMES,
+    KernelUnavailable,
     NumpyKernels,
     available_backends,
     pack_sweep_plan,
@@ -45,6 +58,19 @@ ALL_BACKENDS = [
 ]
 #: The compiled tiers only (equivalence against the reference).
 COMPILED = [p for p in ALL_BACKENDS if p.values[0] != "numpy"]
+
+
+@contextmanager
+def kernel_env(name):
+    """Select the process kernel tier for the pipeline entry points.
+
+    A context manager rather than the ``monkeypatch`` fixture: inside
+    ``@given`` tests a function-scoped fixture would be shared across
+    examples.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_KERNEL", name)
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -90,8 +116,10 @@ def _sweep_inputs(bqm, reads, seed):
 @settings(max_examples=40, deadline=None)
 @given(graph=graphs(), k=st.integers(1, 3))
 def test_kplex_masks_byte_identical(backend, graph, k):
-    ref_masks, ref_sizes = kplex_masks(graph, k, kernel="numpy")
-    got_masks, got_sizes = kplex_masks(graph, k, kernel=backend)
+    with kernel_env("numpy"):
+        ref_masks, ref_sizes = kplex_masks(graph, k)
+    with kernel_env(backend):
+        got_masks, got_sizes = kplex_masks(graph, k)
     assert got_masks.tobytes() == ref_masks.tobytes()
     assert got_sizes.tobytes() == ref_sizes.tobytes()
 
@@ -106,9 +134,8 @@ def test_kplex_masks_chunk_size_invariant(backend):
     graph = Graph(n, edges)
     reference = None
     for chunk in (8, 64, 256, 1 << n):
-        masks, sizes = kplex_masks(
-            graph, 2, chunk_masks=chunk, kernel=backend
-        )
+        with kernel_env(backend):
+            masks, sizes = kplex_masks(graph, 2, chunk_masks=chunk)
         outcome = (masks.tobytes(), sizes.tobytes())
         if reference is None:
             reference = outcome
@@ -130,9 +157,11 @@ def test_sa_sweep_byte_identical(backend, bqm, reads, seed):
         csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums, 5
     )
     ref = spins.copy()
-    ref_flips = sa_sweep(plan, ref, 0.7, uniforms, kernel="numpy")
+    with kernel_env("numpy"):
+        ref_flips = sa_sweep(plan, ref, 0.7, uniforms)
     got = spins.copy()
-    got_flips = sa_sweep(plan, got, 0.7, uniforms, kernel=backend)
+    with kernel_env(backend):
+        got_flips = sa_sweep(plan, got, 0.7, uniforms)
     assert got_flips == ref_flips
     assert got.tobytes() == ref.tobytes()
 
@@ -153,7 +182,7 @@ def test_sa_sweep_chunk_size_invariant(backend):
             csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums, chunk
         )
         spins = spins0.copy()
-        flips = sa_sweep(plan, spins, 0.9, uniforms, kernel=backend)
+        flips = resolve(backend).sa_sweep(plan, spins, 0.9, uniforms)
         outcome = (flips, spins.tobytes())
         if reference is None:
             reference = outcome
@@ -162,9 +191,9 @@ def test_sa_sweep_chunk_size_invariant(backend):
 
 
 @pytest.mark.parametrize("backend", COMPILED)
-def test_packed_and_per_chunk_dispatch_agree(backend):
+def test_memoized_and_repacked_plans_agree(backend):
     # SweepPlan carries a memoized whole-plan pack (one native call per
-    # sweep); a plain-list plan takes the per-chunk path.  Same bytes.
+    # sweep); a plain-list plan is re-packed on every call.  Same bytes.
     rng = np.random.default_rng(5)
     bqm = BinaryQuadraticModel()
     for v in range(13):
@@ -177,10 +206,11 @@ def test_packed_and_per_chunk_dispatch_agree(backend):
         csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums, 4
     )
     assert isinstance(plan, SweepPlan)
+    compiled = resolve(backend)
     packed = spins0.copy()
-    packed_flips = sa_sweep(plan, packed, 1.1, uniforms, kernel=backend)
+    packed_flips = compiled.sa_sweep(plan, packed, 1.1, uniforms)
     unpacked = spins0.copy()
-    unpacked_flips = sa_sweep(list(plan), unpacked, 1.1, uniforms, kernel=backend)
+    unpacked_flips = compiled.sa_sweep(list(plan), unpacked, 1.1, uniforms)
     assert packed_flips == unpacked_flips
     assert packed.tobytes() == unpacked.tobytes()
 
@@ -198,9 +228,21 @@ def test_pack_is_memoized_on_the_plan():
         csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums, 4
     )
     pack = pack_sweep_plan(plan)
-    assert pack is not None
     assert pack_sweep_plan(plan) is pack  # cached on the SweepPlan
     assert pack_sweep_plan(list(plan)) is not pack  # plain list: rebuilt
+    # A plan whose chunks do not tile [0, n) cannot be packed.
+    assert len(plan) >= 2
+    with pytest.raises(ValueError):
+        pack_sweep_plan(list(plan)[1:])
+    with pytest.raises(ValueError):
+        pack_sweep_plan(list(reversed(plan)))
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_empty_plan_makes_no_flips(backend):
+    spins = np.empty((0, 3))
+    uniforms = np.empty((0, 3))
+    assert resolve(backend).sa_sweep(SweepPlan(), spins, 1.0, uniforms) == 0
 
 
 # ----------------------------------------------------------------------
@@ -221,15 +263,17 @@ def test_tabu_descend_byte_identical(backend, bqm, replicas, seed):
     )
     # x and energies advance in place: every call needs fresh copies.
     ref_flips: list = []
-    ref_x, ref_e = tabu_descend(
-        csr.h, csr.indptr, csr.indices, csr.data, x0.copy(), e0.copy(),
-        25, 5, record_flips=ref_flips, kernel="numpy",
-    )
+    with kernel_env("numpy"):
+        ref_x, ref_e = tabu_descend(
+            csr.h, csr.indptr, csr.indices, csr.data, x0.copy(), e0.copy(),
+            25, 5, record_flips=ref_flips,
+        )
     got_flips: list = []
-    got_x, got_e = tabu_descend(
-        csr.h, csr.indptr, csr.indices, csr.data, x0.copy(), e0.copy(),
-        25, 5, record_flips=got_flips, kernel=backend,
-    )
+    with kernel_env(backend):
+        got_x, got_e = tabu_descend(
+            csr.h, csr.indptr, csr.indices, csr.data, x0.copy(), e0.copy(),
+            25, 5, record_flips=got_flips,
+        )
     assert np.array_equal(np.asarray(got_flips), np.asarray(ref_flips))
     assert got_x.tobytes() == ref_x.tobytes()
     assert got_e.tobytes() == ref_e.tobytes()
@@ -256,9 +300,46 @@ def test_sa_sampleset_identical_across_backends(backend):
             (dict(s.assignment), s.energy, s.num_occurrences) for s in ss
         ]
 
-    ref = sampler.sample(bqm, num_reads=9, num_sweeps=6, seed=42, kernel="numpy")
-    got = sampler.sample(bqm, num_reads=9, num_sweeps=6, seed=42, kernel=backend)
+    with kernel_env("numpy"):
+        ref = sampler.sample(bqm, num_reads=9, num_sweeps=6, seed=42)
+    with kernel_env(backend):
+        got = sampler.sample(bqm, num_reads=9, num_sweeps=6, seed=42)
     assert flatten(got) == flatten(ref)
+
+
+def test_pool_workers_inherit_the_kernel_tier():
+    # Pool workers take the tier from the inherited environment, not
+    # from their job arguments: fanned-out runs under a forced reference
+    # and under ``auto`` must give the same bytes.
+    rng = np.random.default_rng(12)
+    n = 11
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+    ]
+    graph = Graph(n, edges)
+    bqm = BinaryQuadraticModel()
+    for v in range(10):
+        bqm.add_linear(v, float(rng.integers(-6, 7)) / 2)
+    for _ in range(22):
+        u, v = rng.choice(10, size=2, replace=False)
+        bqm.add_quadratic(int(u), int(v), float(rng.integers(-6, 7)) / 2)
+    csr = bqm.to_csr()
+    states = rng.integers(0, 2, size=(6, 10)).astype(np.int8)
+    betas = np.array([0.3, 0.8, 1.5])
+    uniforms = rng.random((betas.size, 10, 6))
+
+    def run():
+        masks, sizes = kplex_masks(graph, 2, chunk_masks=256, workers=2)
+        out, fields, flips = sa_shard_reads(
+            csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums,
+            states, betas, uniforms, workers=2,
+        )
+        return [a.tobytes() for a in (masks, sizes, out, fields, flips)]
+
+    with kernel_env("numpy"):
+        reference = run()
+    with kernel_env("auto"):
+        assert run() == reference
 
 
 def test_resolve_env_and_fallback(monkeypatch):
@@ -273,9 +354,40 @@ def test_resolve_env_and_fallback(monkeypatch):
         resolve("vectorized-fortran")
 
 
+@contextmanager
+def broken_cext():
+    """A process in which the cext tier fails to build."""
+
+    def refuse():
+        raise KernelUnavailable("compiler exploded")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(kernels._FACTORIES, "cext", refuse)
+        mp.setattr(kernels, "_instances", {})
+        mp.setattr(kernels, "_warned", set())
+        yield mp
+
+
 def test_unavailable_backend_falls_back_to_numpy():
-    for name in KERNEL_NAMES:
-        if name not in AVAILABLE:
-            assert resolve(name).name == "numpy"
-    if all(name in AVAILABLE for name in KERNEL_NAMES):
-        pytest.skip("every backend is available in this environment")
+    # A named request for a tier that cannot build is honoured with the
+    # reference, and the fallback is visible: one RuntimeWarning per
+    # process, carrying the KernelUnavailable reason.
+    with broken_cext() as mp:
+        mp.setenv("REPRO_KERNEL", "cext")
+        with pytest.warns(RuntimeWarning, match="compiler exploded"):
+            assert resolve().name == "numpy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve().name == "numpy"  # warned once already
+            assert resolve("cext").name == "numpy"
+        assert available_backends() == ["numpy"]
+
+
+def test_auto_fallback_is_quiet():
+    # ``auto`` is a preference order, not a request: no warning.
+    with broken_cext() as mp:
+        mp.setenv("REPRO_KERNEL", "auto")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve().name == "numpy"
+            assert resolve("auto").name == "numpy"

@@ -169,6 +169,36 @@ class TestTruncation:
         assert mps.max_bond_reached >= 2
 
 
+class TestSvdFallback:
+    """A split whose default SVD fails to converge is redone with the
+    ``gesvd`` driver and counted, instead of aborting the simulation."""
+
+    def test_failed_svd_retries_with_gesvd(self, monkeypatch):
+        qc = QuantumCircuit(4)
+        for q in range(4):
+            qc.h(q)
+        qc.mcx([0, 1], 3)
+        qc.cx(3, 2)
+        reference = simulate_mps(qc)
+        assert reference.svd_fallbacks == 0
+
+        real_svd = np.linalg.svd
+        calls = []
+
+        def flaky_svd(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        mps = simulate_mps(qc)
+        assert len(calls) > 1  # the gate kept applying after the failure
+        assert mps.svd_fallbacks == 1
+        for b in range(1 << 4):
+            assert abs(mps.amplitude(b) - reference.amplitude(b)) < 1e-12
+
+
 class TestFullOracleValidation:
     """The MPS run of the complete qTKP circuit — every ancilla
     simulated — must agree with the phase-oracle reduction."""
