@@ -17,7 +17,12 @@ subprocesses:
    rename): the store must hold zero torn segments, the resumed
    attempt must fall back to local enumeration and republish, the
    readers must attach, and every answer must stay byte-identical to
-   an undisturbed shared-cache run.
+   an undisturbed shared-cache run;
+6. SIGKILL the runner zygote (the pre-imported process every job
+   child is forked from) under a job whose journal already holds a
+   probe: the job must resume on a relaunched zygote with a
+   byte-identical answer and a reconciled receipt, and the relaunch
+   must be counted in ``service_zygote_restarts``.
 
 Everything is seeded and scripted — no wall-clock randomness — so a
 failure is a regression, never flake.  Exits nonzero with a diagnostic
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -62,6 +69,26 @@ async def run_batch(specs, workdir, chaos=None, **config_kwargs):
             *(job.result_dict() for job in jobs)
         )
     return jobs, results, sup
+
+
+async def zygote_kill_run(spec, workdir):
+    """Run ``spec`` and SIGKILL the zygote under its second attempt.
+
+    Attempt 0 kills itself after journaling probe 1; attempt 1 is held
+    just after "started", which is when the zygote dies under it.
+    """
+    chaos = ChaosPlan(kills={spec.name: [1]}, holds={spec.name: 0.5})
+    config = ServiceConfig(workers=1, workdir=str(workdir))
+    async with Supervisor(config, chaos=chaos) as sup:
+        job = sup.submit(spec)
+        while job.child_pid is None:
+            await asyncio.sleep(0.005)
+        attempt0 = job.child_pid
+        while job.resumes < 1 or job.child_pid in (None, attempt0):
+            await asyncio.sleep(0.005)
+        os.kill(sup.zygote.pid, signal.SIGKILL)
+        result = await job.result_dict()
+    return job, result, sup
 
 
 def main() -> int:
@@ -179,6 +206,31 @@ def main() -> int:
     print(
         "shared cache: mid-publish SIGKILL left old-or-nothing, "
         "resume republished, 2 readers attached, answers byte-identical"
+    )
+
+    # The zygote SIGKILLed mid-job: same graph, k and seed as job-a, so
+    # the undisturbed reference answer is job-a's.
+    victim = JobSpec(str(graph), k=2, seed=7, name="zygote-victim")
+    job, result, zsup = asyncio.run(zygote_kill_run(victim, tmp / "zygote"))
+    if result["answer"] != reference[0]["answer"]:
+        fail(
+            "zygote-victim: answer after the zygote kill differs:\n"
+            f"  reference: {json.dumps(reference[0]['answer'], sort_keys=True)}\n"
+            f"  chaos:     {json.dumps(result['answer'], sort_keys=True)}"
+        )
+    receipt = json.loads(Path(result["receipt"]).read_text())
+    if not result["verified"] or not receipt["ledger"]["verified"]:
+        fail("zygote-victim: receipt ledger did not reconcile")
+    if result["resumed_probes"] != 1:
+        fail(f"zygote-victim: expected 1 resumed probe, saw {result}")
+    counters = zsup.tracer.registry.as_dict()["counters"]
+    if counters.get("service_zygote_restarts") != 1:
+        fail(f"expected 1 zygote restart, saw {counters}")
+    if counters.get("service_worker_crashes") != 2:
+        fail(f"expected 2 crashes (self-kill + zygote kill), saw {counters}")
+    print(
+        f"zygote SIGKILL: resumed on a relaunched zygote after {job.resumes} "
+        "resume(s), answer byte-identical, receipt reconciled, 1 restart"
     )
 
     print("OK")

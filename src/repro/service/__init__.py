@@ -7,9 +7,10 @@ provides per-run, lifted to the fleet level:
 * **Admission control** — per-tenant gate-unit budget pools
   (:class:`~repro.service.queue.TenantPools`) and a bounded queue with
   a typed :class:`BackpressureError` instead of unbounded growth;
-* **Crash-resume workers** — each job runs in its own subprocess over
-  a write-ahead :class:`~repro.resilience.CheckpointJournal`; a
-  SIGKILLed worker's job resumes bit-identically on another worker;
+* **Crash-resume workers** — each job runs in its own process, forked
+  from one pre-imported runner zygote, over a write-ahead
+  :class:`~repro.resilience.CheckpointJournal`; a SIGKILLed worker's
+  job resumes bit-identically on another worker;
 * **Graceful degradation** — per-backend
   :class:`~repro.resilience.CircuitBreaker`\\ s route fresh jobs down
   the :data:`~repro.service.config.DEGRADATION` ladder when a backend

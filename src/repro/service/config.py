@@ -31,7 +31,7 @@ class ServiceConfig:
     Parameters
     ----------
     workers:
-        Worker-slot count; each slot runs at most one job subprocess.
+        Worker-slot count; each slot runs at most one job child.
     queue_capacity:
         Bound of the fresh-submission lane (typed backpressure beyond).
     max_resumes:
@@ -74,7 +74,8 @@ class ServiceConfig:
         Deadline for flushing one SSE frame to a client socket; a
         stalled reader that blocks the write this long is evicted.
     python:
-        Interpreter used for worker subprocesses.
+        Interpreter of the runner zygote, the one process each
+        supervisor launches; every job child is forked from it.
     """
 
     workers: int = 2

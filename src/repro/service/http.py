@@ -150,7 +150,7 @@ class Gateway:
         supervisor down, and *then* call this.
         """
         await self.stop_accepting()
-        for pump in self._pumps.values():
+        for pump in list(self._pumps.values()):
             if not pump.done():
                 # The pump drains the job's event queue; jobs themselves
                 # are settled by the supervisor's own completion or
@@ -176,6 +176,22 @@ class Gateway:
             journal = EventJournal(self.journal_dir / f"{key}.events.jsonl")
             self._journals[key] = journal
         return journal
+
+    def _release(self, key: str) -> None:
+        """Close a settled journal that nothing is using.
+
+        Its file holds the whole sequence, and :meth:`_journal` reloads
+        it for a later ``GET``, ``Last-Event-ID`` resume or duplicate
+        replay; kept open, it would pin one fd and every record of the
+        job for the server's lifetime.
+        """
+        journal = self._journals.get(key)
+        pump = self._pumps.get(key)
+        if journal is None or journal.terminal is None or journal.subscribed \
+                or (pump is not None and not pump.done()):
+            return
+        journal.close()
+        del self._journals[key]
 
     def _journal_exists(self, key: str) -> bool:
         return key in self._journals or (
@@ -371,6 +387,7 @@ class Gateway:
         if not replayed:
             self._count("gateway_submissions")
             self._pumps[key] = asyncio.ensure_future(self._pump(key, job))
+        self._release(key)  # a replay of a settled job reads it once
         await self._respond(writer, 200 if replayed else 201, {
             "job": key,
             "job_id": job.job_id,
@@ -388,7 +405,16 @@ class Gateway:
         gap-free, duplicate-free event sequence.  A terminal record is
         appended only for final states — a ``suspended`` job's journal
         stays open, because the job itself will resume and continue it.
+        A settled journal is released once no stream is reading it.
         """
+        try:
+            await self._journal_job(key, job)
+        finally:
+            if self._pumps.get(key) is asyncio.current_task():
+                del self._pumps[key]
+            self._release(key)
+
+    async def _journal_job(self, key: str, job: Job) -> None:
         journal = self._journal(key)
         async for event in job.stream():
             record = journal.append("incumbent", event.as_dict())
@@ -447,6 +473,7 @@ class Gateway:
             })
             return
         journal = self._journal(key)
+        self._release(key)  # the document is built from memory below
         doc: dict[str, object] = {
             "job": key,
             "events": f"/v1/jobs/{key}/events",
@@ -565,6 +592,7 @@ class Gateway:
                 get_task.cancel()
             shutdown_task.cancel()
             sub.close()
+            self._release(key)
             active.inc(-1)
 
     async def _write_frame(self, writer, payload: bytes) -> None:

@@ -216,6 +216,7 @@ class Job:
         self.solver = spec.solver  # effective backend (after degradation)
         self.worker: str | None = None
         self.child_pid: int | None = None  # set on the child's "started"
+        self.queued_at: float | None = None  # monotonic; set by the queue
         self.error: str | None = None
         self.result: dict[str, object] | None = None
         # Artifacts are content-keyed (never sequence-numbered): the

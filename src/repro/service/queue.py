@@ -23,6 +23,7 @@ Two pieces of admission control sit in front of the worker pool:
 from __future__ import annotations
 
 import asyncio
+import time
 from collections import deque
 
 from ..resilience import DeadlineBudget
@@ -59,6 +60,7 @@ class JobQueue:
             raise ServiceError("job queue is closed (service draining)")
         if len(self._fresh) >= self.capacity:
             raise BackpressureError(self.capacity, self.depth)
+        job.queued_at = time.monotonic()
         self._fresh.append(job)
         self._available.set()
 
@@ -71,6 +73,7 @@ class JobQueue:
         prevent.
         """
         job.state = "queued"
+        job.queued_at = time.monotonic()
         self._resume.append(job)
         self._available.set()
 

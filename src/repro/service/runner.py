@@ -1,11 +1,13 @@
 """Worker child process: execute one job spec, stream JSON events.
 
-This is what a service "worker" actually runs: ``python -m
-repro.service.runner JOB.json``.  Isolating each job in its own
-process is the crash boundary the supervisor's resume logic is built
-on — a SIGKILL here loses at most the probe in flight, because every
-completed qMKP probe is already fsynced in the job's write-ahead
-checkpoint journal.
+This is what every service job runs: :func:`main` on one job file, in
+a child that the runner zygote (:mod:`repro.service.zygote`) forks
+with this module already imported.  ``python -m repro.service.runner
+JOB.json`` runs the same :func:`main` in a fresh interpreter, for tests
+and debugging.  Isolating each job in its own process is the crash
+boundary the supervisor's resume logic is built on — a SIGKILL here
+loses at most the probe in flight, because every completed qMKP probe
+is already fsynced in the job's write-ahead checkpoint journal.
 
 Protocol (one JSON object per stdout line, flushed immediately):
 

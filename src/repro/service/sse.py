@@ -162,6 +162,11 @@ class EventJournal:
             return list(self.records)
         return [r for r in self.records if r["id"] > after_id]
 
+    @property
+    def subscribed(self) -> bool:
+        """Whether any live connection is listening."""
+        return bool(self._subscribers)
+
     def subscribe(self, maxsize: int) -> Subscription:
         sub = Subscription(self, maxsize)
         self._subscribers.add(sub)

@@ -4,7 +4,7 @@
 per-tenant admission pools, one :class:`~repro.resilience.CircuitBreaker`
 per backend, and ``config.workers`` worker slots.  Its invariants:
 
-* **Nothing is lost.**  A worker subprocess killed mid-job (negative
+* **Nothing is lost.**  A job child killed mid-job (negative
   returncode) is detected here; if the job has resumes left it goes
   back through the queue's priority lane and the next worker resumes
   it **bit-identically** from its write-ahead checkpoint journal.
@@ -20,10 +20,18 @@ per backend, and ``config.workers`` worker slots.  Its invariants:
   in-flight children — they flush their journals and exit 130 — and
   settles them ``suspended``; resubmitting the same spec against the
   same workdir resumes where they stopped.
+* **One zygote.**  Job children are forked from one pre-imported
+  runner zygote (:class:`~repro.service.worker.Zygote`), launched by
+  :meth:`Supervisor.start` and closed by :meth:`Supervisor.drain` /
+  :meth:`Supervisor.shutdown`; it never outlives the supervisor.
 
 Every counter lives in the supervisor's :class:`~repro.obs.Tracer`
-registry (``service_*``, plus the breakers' ``breaker_*`` instruments)
-and renders as JSON or Prometheus text via :meth:`Supervisor.render_metrics`.
+registry (``service_*``, plus the breakers' ``breaker_*`` instruments),
+next to the per-attempt phase histograms ``service_job_queue_seconds``
+(admitted or requeued → dequeued), ``service_job_spawn_seconds`` (spawn
+request → ``started``) and ``service_job_run_seconds`` (``started`` →
+exit), and renders as JSON or Prometheus text via
+:meth:`Supervisor.render_metrics`.
 """
 
 from __future__ import annotations
@@ -40,9 +48,17 @@ from .chaos import ChaosPlan
 from .config import ServiceConfig
 from .jobs import Job, JobSpec
 from .queue import JobQueue, TenantPools
-from .worker import Worker
+from .worker import Worker, Zygote
 
 __all__ = ["Supervisor"]
+
+_PHASE_HELP = {
+    "service_job_queue_seconds": "job attempt wait, admitted or requeued "
+    "to dequeued",
+    "service_job_spawn_seconds": "job attempt start-up, spawn request to "
+    "the child's started event",
+    "service_job_run_seconds": "job attempt run, started event to exit",
+}
 
 
 class Supervisor:
@@ -76,14 +92,20 @@ class Supervisor:
         self._tasks: list[asyncio.Task] = []
         self._job_seq = 0
         self._suspending = False
+        self.zygote = Zygote(self.config.python, self.tracer)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the worker pool (idempotent)."""
+        """Launch the runner zygote and the worker pool (idempotent).
+
+        The zygote's imports run in the background: nothing here waits
+        for them, and the first spawn queues behind them.
+        """
         if self._tasks:
             return
+        await self.zygote.start()
         for i in range(self.config.workers):
             worker = Worker(f"worker-{i}", self)
             self._workers.append(worker)
@@ -96,6 +118,7 @@ class Supervisor:
         if self._tasks:
             await asyncio.gather(*self._tasks)
         self._tasks = []
+        await self.zygote.close()
 
     async def shutdown(self, drain: bool = True) -> None:
         """Stop the service.
@@ -116,12 +139,18 @@ class Supervisor:
             self.tracer.add("service_jobs_suspended", 1)
             job.settle("suspended", "service shut down before the job started")
         for worker in self._workers:
-            proc = worker.proc
-            if proc is not None and proc.returncode is None:
+            proc, job = worker.proc, worker.current
+            # Only a child whose "started" arrived has its SIGINT
+            # handler installed; a signal before that kills it
+            # mid-start.  The worker's "started" handler signals the
+            # rest the moment they become interruptible.
+            if proc is not None and proc.returncode is None \
+                    and job is not None and job.child_pid is not None:
                 proc.send_signal(signal.SIGINT)
         if self._tasks:
             await asyncio.gather(*self._tasks)
         self._tasks = []
+        await self.zygote.close()
         self._update_depth()
 
     @property
@@ -261,6 +290,12 @@ class Supervisor:
             "service_workers_busy", help="worker slots currently running a job"
         ).inc(delta)
         self._update_depth()
+
+    def observe(self, histogram: str, seconds: float) -> None:
+        """Record one job-phase duration in the service registry."""
+        self.tracer.registry.histogram(
+            histogram, help=_PHASE_HELP[histogram]
+        ).observe(seconds)
 
     def _update_depth(self) -> None:
         self.tracer.registry.gauge(

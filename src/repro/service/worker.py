@@ -1,16 +1,24 @@
-"""Worker slot: run one job subprocess at a time, relay its events.
+"""Worker slot: run one job child at a time, relay its events.
 
 A :class:`Worker` is an asyncio task owned by the supervisor.  It pulls
-jobs off the shared :class:`~repro.service.queue.JobQueue`, spawns the
-:mod:`repro.service.runner` child process for each, relays the child's
-JSON event stream (incumbents to the caller's handle, the result onto
-the job), and hands the exit code to the supervisor's crash policy.
+jobs off the shared :class:`~repro.service.queue.JobQueue`, asks the
+supervisor's :class:`Zygote` to fork a :mod:`repro.service.runner`
+child for each, relays the child's JSON event stream (incumbents to
+the caller's handle, the result onto the job), and hands the exit code
+to the supervisor's crash policy.
 
 The *child* is the crash domain: a SIGKILL there is detected here as a
 negative returncode and never takes the service down.  The worker task
 itself does no solving, so the only state lost with a killed child is
 the probe in flight — everything else is in the job's checkpoint
 journal.
+
+The zygote (:mod:`repro.service.zygote`, one per supervisor) has the
+solver stack imported already, so a job's child starts in milliseconds
+instead of paying a fresh interpreter's ~1 s of imports.  Losing the
+zygote loses no more than losing its children: every in-flight job
+exits ``-SIGKILL`` into the same crash→resume path, and the next spawn
+relaunches it (``service_zygote_restarts``).
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ import asyncio
 import json
 import os
 import signal
+import socket
+import time
+from collections import deque
 from pathlib import Path
 
 import repro
@@ -26,11 +37,226 @@ import repro
 from ..perf.shared import PUBLISH_KILL_ENV, SHARED_CACHE_ENV
 from .jobs import IncumbentEvent, Job
 
-__all__ = ["Worker"]
+__all__ = ["ForkedProcess", "Worker", "Zygote"]
 
 #: Limit for one protocol line from the child (vertices lists are small;
 #: this is just a guard against a runaway child flooding the parent).
 _LINE_LIMIT = 1 << 20
+#: Upper bound on one zygote reply datagram.
+_REPLY_LIMIT = 1 << 16
+#: Seconds a closed, ready zygote gets to see EOF and exit before it
+#: is killed.
+_CLOSE_TIMEOUT_S = 30.0
+
+
+def _with_repro_path(env: dict[str, str]) -> dict[str, str]:
+    """``env`` with this process's ``repro`` package first on PYTHONPATH,
+    so a child imports the same package however the parent found it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    existing = env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    return env
+
+
+class ForkedProcess:
+    """A zygote-forked job child, seen through the subset of
+    :class:`asyncio.subprocess.Process` that workers and the supervisor
+    use: ``pid``, ``stdout``/``stderr`` stream readers, ``wait()``,
+    ``returncode``, ``send_signal()`` and ``kill()``."""
+
+    def __init__(self) -> None:
+        loop = asyncio.get_running_loop()
+        self.pid: int | None = None
+        self.returncode: int | None = None
+        self.stdout = asyncio.StreamReader(limit=_LINE_LIMIT)
+        self.stderr = asyncio.StreamReader(limit=_LINE_LIMIT)
+        self._forked = loop.create_future()
+        self._exited = loop.create_future()
+
+    async def _attach(self, stdout_fd: int, stderr_fd: int) -> None:
+        loop = asyncio.get_running_loop()
+        for fd, reader in ((stdout_fd, self.stdout), (stderr_fd, self.stderr)):
+            await loop.connect_read_pipe(
+                lambda reader=reader: asyncio.StreamReaderProtocol(reader),
+                open(fd, "rb", buffering=0),
+            )
+
+    def _set_exit(self, code: int) -> None:
+        if self.returncode is None:
+            self.returncode = code
+            self._exited.set_result(code)
+        if not self._forked.done():
+            self._forked.set_result(None)
+
+    async def wait(self) -> int:
+        return await asyncio.shield(self._exited)
+
+    def send_signal(self, sig: int) -> None:
+        if self.returncode is not None or self.pid is None:
+            return
+        try:
+            os.kill(self.pid, sig)
+        except ProcessLookupError:
+            pass  # exited; the zygote's exit report is on its way
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+class Zygote:
+    """Supervisor-side handle of the runner zygote process.
+
+    :meth:`start` launches ``python -m repro.service.zygote`` without
+    waiting for its imports; :meth:`spawn` forks one job child through
+    it; :meth:`close` shuts the control channel, on which the zygote
+    exits — or kills it if it is still importing, since it then holds
+    nothing.  A dead zygote fails its in-flight children with
+    ``-SIGKILL`` and is relaunched by the next spawn.
+    """
+
+    def __init__(self, python: str, tracer) -> None:
+        self.python = python
+        self.tracer = tracer
+        self.proc: asyncio.subprocess.Process | None = None
+        self._control: socket.socket | None = None
+        self._pending: deque[ForkedProcess] = deque()  # awaiting a pid
+        self._children: dict[int, ForkedProcess] = {}
+        self._launched = False
+        self._ready = False  # the zygote finished its imports
+        self._launching = asyncio.Lock()  # one relaunch, however many spawns
+
+    @property
+    def pid(self) -> int | None:
+        return self.proc.pid if self.proc is not None else None
+
+    async def start(self) -> None:
+        """Launch eagerly.  A zygote that cannot start is not an error
+        here: the first spawn retries and fails that job instead."""
+        try:
+            await self._launch()
+        except OSError:
+            pass
+
+    async def _launch(self) -> None:
+        async with self._launching:
+            if self._control is not None:
+                return  # another spawn relaunched it meanwhile
+            ours, theirs = socket.socketpair(
+                socket.AF_UNIX, socket.SOCK_SEQPACKET
+            )
+            env = _with_repro_path(dict(os.environ))
+            # One BLAS thread: fork() must happen in a single-threaded
+            # process.
+            env["OPENBLAS_NUM_THREADS"] = "1"
+            env["OMP_NUM_THREADS"] = "1"
+            try:
+                self.proc = await asyncio.create_subprocess_exec(
+                    self.python, "-m", "repro.service.zygote",
+                    str(theirs.fileno()), pass_fds=(theirs.fileno(),), env=env,
+                )
+            except BaseException:
+                ours.close()
+                raise
+            finally:
+                theirs.close()
+            if self._launched:
+                self.tracer.add("service_zygote_restarts", 1)
+            self._launched = True
+            self._ready = False
+            ours.setblocking(False)
+            self._control = ours
+            asyncio.get_running_loop().add_reader(
+                ours.fileno(), self._on_readable
+            )
+
+    async def spawn(self, job_file: Path, env: dict[str, str]) -> ForkedProcess:
+        """Fork a runner child for ``job_file`` under ``env``."""
+        child = ForkedProcess()
+        stdout_r, stdout_w = os.pipe()
+        stderr_r, stderr_w = os.pipe()
+        try:
+            await child._attach(stdout_r, stderr_r)
+            request = json.dumps({"job_file": str(job_file), "env": env})
+            for attempt in (0, 1):
+                if self._control is None:
+                    await self._launch()
+                try:
+                    socket.send_fds(
+                        self._control, [request.encode("utf-8")],
+                        [stdout_w, stderr_w],
+                    )
+                    break
+                except (BrokenPipeError, ConnectionResetError):
+                    # The zygote died while idle; the request never
+                    # reached it, so a relaunch can take it safely.
+                    self._lost()
+                    if attempt:
+                        raise
+            self._pending.append(child)
+        finally:
+            os.close(stdout_w)
+            os.close(stderr_w)
+        await asyncio.shield(child._forked)
+        return child
+
+    def _on_readable(self) -> None:
+        while self._control is not None:
+            try:
+                data = self._control.recv(_REPLY_LIMIT)
+            except BlockingIOError:
+                return
+            except OSError:
+                data = b""
+            if not data:
+                self._lost()
+                return
+            reply = json.loads(data)
+            if "ready" in reply:
+                self._ready = True
+                continue
+            if "exit" in reply:
+                child = self._children.pop(reply["exit"], None)
+                if child is not None:
+                    child._set_exit(int(reply["code"]))
+                continue
+            child = self._pending.popleft()
+            if "pid" in reply:
+                child.pid = int(reply["pid"])
+                self._children[child.pid] = child
+                child._forked.set_result(None)
+            else:
+                child._forked.set_exception(OSError(reply["error"]))
+
+    def _lost(self) -> None:
+        """The channel closed: every child it owed an answer about dies.
+
+        A pending request may have been forked just before the zygote
+        died; its child, if any, holds the job pipes, so the worker
+        still reads them to EOF before the crash policy runs.
+        """
+        control, self._control = self._control, None
+        if control is not None:
+            asyncio.get_running_loop().remove_reader(control.fileno())
+            control.close()
+        for child in list(self._children.values()) + list(self._pending):
+            child.kill()
+            child._set_exit(-signal.SIGKILL)
+        self._children.clear()
+        self._pending.clear()
+
+    async def close(self) -> None:
+        """Close the channel and reap the zygote (it exits on EOF)."""
+        self._lost()
+        proc, self.proc = self.proc, None
+        if proc is None:
+            return
+        if not self._ready:
+            proc.kill()  # still importing: no child, nothing to flush
+        try:
+            await asyncio.wait_for(proc.wait(), _CLOSE_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            proc.kill()
+            await proc.wait()
 
 
 class Worker:
@@ -40,7 +266,9 @@ class Worker:
         self.name = name
         self.supervisor = supervisor
         self.current: Job | None = None
-        self.proc: asyncio.subprocess.Process | None = None
+        self.proc: ForkedProcess | None = None
+        self._spawned_at: float | None = None  # this attempt's phase stamps
+        self._started_at: float | None = None
 
     async def run(self) -> None:
         """Main loop: drain the queue until it closes.
@@ -55,6 +283,9 @@ class Worker:
             job = await self.supervisor.queue.get()
             if job is None:
                 return
+            self.supervisor.observe(
+                "service_job_queue_seconds", time.monotonic() - job.queued_at
+            )
             self.current = job
             try:
                 await self._execute(job)
@@ -63,6 +294,7 @@ class Worker:
             finally:
                 self.current = None
                 self.proc = None
+                self._spawned_at = self._started_at = None
 
     async def _abort(self, job: Job, exc: Exception) -> None:
         """Settle a job whose *relay* (not the solver) blew up."""
@@ -97,12 +329,7 @@ class Worker:
         return path
 
     def _child_env(self, job: Job) -> dict[str, str]:
-        env = dict(os.environ)
-        # The child must import the same repro package as the parent,
-        # regardless of how the parent found it.
-        src = str(Path(repro.__file__).resolve().parents[1])
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        env = _with_repro_path(dict(os.environ))
         # A fresh attempt must not inherit a stale chaos hook from the
         # service environment; the plan below re-adds what it scripts.
         env.pop("QMKP_CRASH_AFTER_PROBES", None)
@@ -134,20 +361,14 @@ class Worker:
         job.state = "running"
         job.worker = self.name
         sup.mark_busy(+1)
+        job.child_pid = None  # this attempt's child has not started yet
+        self._started_at = None
         try:
             # The job file is written after backend resolution so the
             # child sees the effective (possibly degraded) solver.
             job_file = self._job_file(job)
-            proc = await asyncio.create_subprocess_exec(
-                sup.config.python,
-                "-m",
-                "repro.service.runner",
-                str(job_file),
-                stdout=asyncio.subprocess.PIPE,
-                stderr=asyncio.subprocess.PIPE,
-                env=self._child_env(job),
-                limit=_LINE_LIMIT,
-            )
+            self._spawned_at = time.monotonic()
+            proc = await sup.zygote.spawn(job_file, self._child_env(job))
             self.proc = proc
             stderr_task = asyncio.ensure_future(proc.stderr.read())
             while True:
@@ -156,6 +377,11 @@ class Worker:
                     break
                 self._handle_line(job, line)
             returncode = await proc.wait()
+            if self._started_at is not None:
+                sup.observe(
+                    "service_job_run_seconds",
+                    time.monotonic() - self._started_at,
+                )
             stderr = (await stderr_task).decode(errors="replace")
         finally:
             sup.mark_busy(-1)
@@ -195,6 +421,12 @@ class Worker:
                 # Once this is seen the child's SIGINT handler is
                 # installed: a suspend signal from here on is graceful.
                 job.child_pid = int(payload["pid"])
+                if self._spawned_at is not None:
+                    self._started_at = time.monotonic()
+                    sup.observe(
+                        "service_job_spawn_seconds",
+                        self._started_at - self._spawned_at,
+                    )
                 if sup.suspending and self.proc is not None \
                         and self.proc.returncode is None:
                     # The child spawned after the shutdown sweep, so the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
 
 import numpy as np
@@ -287,6 +288,62 @@ class TestStreams:
 
         error = asyncio.run(_serving(_config(tmp_path), scenario))
         assert error.status == 404
+
+
+def _open_journal_fds() -> int:
+    """Event-journal files this process holds open."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        count += target.endswith(".events.jsonl")
+    return count
+
+
+class TestJournalRelease:
+    def test_settled_journals_are_closed_and_reload_whole(
+        self, graph_file, tmp_path
+    ):
+        async def scenario(sup, gateway, client):
+            specs = [JobSpec(graph_file, k=2, seed=s) for s in range(4)]
+            results = [
+                await asyncio.to_thread(client.solve, spec) for spec in specs
+            ]
+            await asyncio.sleep(0.05)  # pumps and stream handlers finish
+            settled_fds = _open_journal_fds()
+            held = len(gateway._journals) + len(gateway._pumps)
+            key = specs[0].content_key()
+            # Every path that reads a released journal reloads it whole.
+            full = await asyncio.to_thread(
+                lambda: list(client.stream_once(key, 0))
+            )
+            tail = await asyncio.to_thread(
+                lambda: list(client.stream_once(key, 2))
+            )
+            replay = await asyncio.to_thread(client.submit, specs[0])
+            status, doc = await asyncio.to_thread(client.job, key)
+            await asyncio.sleep(0.05)
+            return (results[0], settled_fds, held, full, tail, replay, doc,
+                    _open_journal_fds())
+
+        result, settled_fds, held, full, tail, replay, doc, after_fds = (
+            asyncio.run(_serving(_config(tmp_path, workers=2), scenario))
+        )
+        assert settled_fds == 0  # no live job, so no open journal
+        assert held == 0
+        assert after_fds == 0
+        incumbents, final = result
+        ids = [record["id"] for record in full]
+        assert ids == list(range(1, len(full) + 1))
+        assert [record["data"] for record in full[:-1]] == incumbents
+        assert full[-1]["event"] == "result" and full[-1]["data"] == final
+        assert tail == full[2:]
+        assert replay["replayed"] is True
+        assert replay["last_event_id"] == len(full)
+        assert doc["last_event_id"] == len(full)
+        assert doc["state"] == "done"
 
 
 class TestDegradation:

@@ -11,6 +11,7 @@ bit-identical resumes are reproducible.
 from __future__ import annotations
 
 import asyncio
+import signal
 
 import numpy as np
 import pytest
@@ -459,3 +460,73 @@ class TestShutdown:
 
         jobs = asyncio.run(scenario())
         assert all(job.state == "done" for job in jobs)
+
+
+class _StartingChild:
+    """A job child handle with a real runner's SIGINT semantics: before
+    ``started`` its handler is not installed, so the signal kills it
+    (-2, no ``started`` line); after, it suspends gracefully (130)."""
+
+    pid = 4242
+
+    def __init__(self) -> None:
+        self.returncode: int | None = None
+        self.started = False
+        self.signals: list[int] = []
+
+    def send_signal(self, sig: int) -> None:
+        self.signals.append(sig)
+        if sig == signal.SIGINT and self.returncode is None:
+            self.returncode = 130 if self.started else -signal.SIGINT
+
+
+class TestSuspendWhileStarting:
+    def test_suspend_signals_a_child_only_once_it_started(
+        self, graph_file, tmp_path
+    ):
+        # A SIGINT that lands before the runner's "started" line kills
+        # it mid-start: the sweep must leave such a child alone and let
+        # the "started" handler deliver the signal gracefully.
+        async def scenario():
+            sup = Supervisor(_config(tmp_path, workers=1))
+            worker = Worker("w0", sup)
+            sup._workers.append(worker)
+            job = sup.submit(JobSpec(graph_file, k=2, seed=7, name="starting"))
+            assert sup.queue.drain_pending() == [job]  # dequeued...
+            child = _StartingChild()
+            worker.current, worker.proc = job, child  # ...and spawned
+            job.state = "running"
+            await sup.shutdown(drain=False)
+            before = list(child.signals)
+            child.started = True
+            worker._handle_line(job, b'{"event": "started", "pid": 4242}\n')
+            await sup.on_exit(job, child.returncode, "")
+            return job, sup, before, child.signals
+
+        job, sup, before, after = asyncio.run(scenario())
+        assert before == []
+        assert after == [signal.SIGINT]
+        assert job.state == "suspended"
+        assert sup.breaker("qmkp").consecutive_failures == 0
+        counters = sup.tracer.registry.as_dict()["counters"]
+        assert "service_worker_crashes" not in counters
+        assert counters["service_jobs_suspended"] == 1
+
+
+class TestPhaseHistograms:
+    def test_one_observation_per_finished_job(self, graph_file, tmp_path):
+        async def scenario():
+            async with Supervisor(_config(tmp_path, workers=2)) as sup:
+                jobs = [sup.submit(JobSpec(graph_file, k=2, seed=s))
+                        for s in range(3)]
+                for job in jobs:
+                    await job.result_dict()
+            return sup
+
+        sup = asyncio.run(scenario())
+        histograms = sup.tracer.registry.as_dict()["histograms"]
+        for name in ("service_job_queue_seconds", "service_job_spawn_seconds",
+                     "service_job_run_seconds"):
+            assert histograms[name]["count"] == 3, name
+            assert histograms[name]["min"] >= 0
+            assert f"repro_{name}_count 3" in sup.render_metrics("prom")
