@@ -96,6 +96,31 @@ def _time_qmkp(
     return best, fingerprint, tracer
 
 
+def _time_untraced_and_traced(graph, k, rng_seed, repeat, **kwargs):
+    """Best-of-``repeat`` wall clocks without and with a tracer, timed
+    one for one (untraced, traced, untraced, ...) so that host drift
+    lands on both alike.  As with :func:`_time_qmkp`, every repeat of
+    each kind must give the same fingerprint.  Returns (untraced
+    seconds, fingerprint, traced seconds, traced fingerprint, last
+    tracer)."""
+    from repro.obs import Tracer
+
+    untraced_s = traced_s = float("inf")
+    fingerprint = traced_fp = tracer = None
+    for _ in range(repeat):
+        seconds, fp, _ = _time_qmkp(graph, k, rng_seed, 1, **kwargs)
+        untraced_s = min(untraced_s, seconds)
+        seconds, traced, tracer = _time_qmkp(
+            graph, k, rng_seed, 1, tracer_factory=Tracer, **kwargs
+        )
+        traced_s = min(traced_s, seconds)
+        if fingerprint is None:
+            fingerprint, traced_fp = fp, traced
+        elif (fp, traced) != (fingerprint, traced_fp):
+            raise AssertionError("qmkp is not deterministic under a fixed seed")
+    return untraced_s, fingerprint, traced_s, traced_fp, tracer
+
+
 def kernel_comparison(graph, k, repeat: int, min_speedup: float) -> tuple[dict, list[str]]:
     """Per-backend timing of the bit-parallel enumeration sweep.
 
@@ -328,9 +353,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1 if (kernel_failures or ladder_failures) else 0
 
-    cached_s, cached_fp, _ = _time_qmkp(
-        graph, args.k, args.rng_seed, args.repeat, use_cache=True, workers=args.workers
-    )
+    if args.trace is None:
+        cached_s, cached_fp, _ = _time_qmkp(
+            graph, args.k, args.rng_seed, args.repeat, use_cache=True, workers=args.workers
+        )
+    else:
+        cached_s, cached_fp, traced_s, traced_fp, tracer = _time_untraced_and_traced(
+            graph, args.k, args.rng_seed, args.repeat, use_cache=True, workers=args.workers
+        )
     uncached_s, uncached_fp, _ = _time_qmkp(
         graph, args.k, args.rng_seed, args.repeat, use_cache=False
     )
@@ -340,12 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     trace_block = None
     trace_failures: list[str] = []
     if args.trace is not None:
-        from repro.obs import RunLedger, Tracer
+        from repro.obs import RunLedger
 
-        traced_s, traced_fp, tracer = _time_qmkp(
-            graph, args.k, args.rng_seed, args.repeat,
-            tracer_factory=Tracer, use_cache=True, workers=args.workers,
-        )
         if traced_fp != cached_fp:
             trace_failures.append("traced run diverged from untraced run")
         ledger = RunLedger.from_tracer(

@@ -16,7 +16,11 @@ Two execution backends share one interface:
   per-iteration history and the measurement distribution are
   bit-for-bit those of the ``2^n``-vector simulation (the ancilla
   register factors out as |0...0>, which the test suite verifies
-  against dense simulation on small instances).
+  against dense simulation on small instances).  Measurement is exact
+  too: :class:`TwoValuedCumsum` reproduces the float64 prefix sums
+  that ``Generator.choice`` searches, binade by binade, so a draw
+  returns ``rng.choice(2^n, p=...)``'s index and leaves the generator
+  in the same state without a ``2^n`` probability vector.
 
 * :func:`grover_circuit` — the literal Fig. 11 circuit (state
   preparation, oracle placeholder, diffusion), dense-simulable for
@@ -29,9 +33,11 @@ Fig. 12 bar charts.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from ..quantum import QuantumCircuit
 from .diffusion import diffusion_circuit
 from .iterations import optimal_iterations, success_probability
 
-__all__ = ["GroverRun", "PhaseOracleGrover", "TwoValuedSum", "grover_circuit"]
+__all__ = ["GroverRun", "PhaseOracleGrover", "TwoValuedCumsum", "TwoValuedSum", "grover_circuit"]
 
 #: NumPy's pairwise summation (``pairwise_sum`` in its loops source):
 #: blocks of at most ``_BLOCK`` elements are summed with ``_LANES``
@@ -218,6 +224,270 @@ class TwoValuedSum:
         return 0.0 + float(level[0])
 
 
+#: ``Generator.choice`` rejects a distribution whose total is off 1 by
+#: more than ``sqrt(eps)``: 2^-26 for float64.
+_CHOICE_TOLERANCE_BITS = 26
+_MIN_NORMAL = float(np.finfo(np.float64).tiny)
+_SUBNORMAL_ULP = math.ldexp(1.0, -1074)
+
+
+def _choice_error(p: list[float]) -> NoReturn:
+    """Raise the ``ValueError`` ``Generator.choice`` raises for ``p``
+    (its wording differs across NumPy releases)."""
+    np.random.default_rng(0).choice(len(p), p=p)
+    raise AssertionError(f"Generator.choice accepted {p}")  # pragma: no cover
+
+
+def _steps(units: float, top: int) -> tuple[int, int]:
+    """How many ulps adding ``units`` ulps moves a sum of even / odd ulp
+    count.
+
+    The two differ only on a tie (``units`` is a whole number plus one
+    half): round-half-to-even lands on an even count from either
+    parity.  A value of at least the binade's width always leaves it;
+    ``top`` ulps says so.
+    """
+    if units >= top:
+        return top, top
+    whole = int(units)
+    if units - whole == 0.5:
+        return whole + (whole & 1), whole + 1 - (whole & 1)
+    if units - whole > 0.5:
+        whole += 1
+    return whole, whole
+
+
+class _PrefixSums:
+    """``np.cumsum`` of a two-valued ``2^n`` vector, kept as the prefix
+    sum at each marked index and a table of binades.
+
+    Slot ``t`` is the gap of unmarked indices after ``bounds[t]``, then
+    ``bounds[t + 1]``: ``bounds`` holds -1, the marked indices and
+    ``2^n``.  ``end[t]`` is the sum up to ``bounds[t]``: 0 for -1, and
+    the last index's for ``2^n``.  Row ``b`` of ``binades`` holds
+    ``start, before, ulp, step, odd_step, cross``: the binade's first
+    index and the sum ahead of it, its ulp, what an unmarked index adds
+    to a sum of even and of odd ulp count (:func:`_steps`), and the
+    index whose sum is the next row's ``before`` (``2^n`` for the last).
+    """
+
+    def __init__(self, bounds: np.ndarray, end: np.ndarray, binades: np.ndarray) -> None:
+        self.bounds, self.end, self.binades = bounds, end, binades
+        #: the last prefix sum, ``choice``'s ``cdf[-1]``
+        self.total = float(end[-1])
+
+    def draw(self, rng: np.random.Generator, size: int | None = None):
+        """``rng.choice(2^n, size, p=vector)``, draw for draw.
+
+        ``choice`` takes one ``rng.random`` double ``u`` per draw and
+        returns ``cdf.searchsorted(u, side="right")`` with ``cdf =
+        fl(c / total)``: the first index whose prefix sum ``c`` exceeds
+        the largest ``x`` with ``fl(x / total) <= u`` (division is
+        monotone).  That index is the marked index of the first slot
+        whose ``end`` exceeds ``x``, the crossing index of the binade
+        holding ``x``, or one of the unmarked indices before both, where
+        the sums rise by a fixed step: one floor division, exact since
+        ``x - lead`` and the step are whole ulp counts below 2^52.
+        """
+        u = rng.random(size)
+        x = u * self.total
+        while np.any(over := x / self.total > u):
+            x = np.where(over, np.nextafter(x, -np.inf), x)
+        while np.any(fits := (up := np.nextafter(x, np.inf)) / self.total <= u):
+            x = np.where(fits, up, x)
+        b = self.binades[:, 1].searchsorted(x, side="right") - 1
+        start, before, ulp, step, odd_step, cross = self.binades[b].T
+        t = self.end.searchsorted(x, side="right")  # slot t - 1
+        first = np.maximum(self.bounds[t - 1] + 1, start)
+        # the sum ahead of ``first``: the binade's or the slot's, the later
+        before = np.maximum(before, self.end[t - 1])
+        lead = before + step + (before / ulp) % 2 * (odd_step - step)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a 0-ulp step
+            inner = first + 1 + np.floor((x - lead) / step)
+        # below ``lead``, ``inner`` is at most ``first``
+        last = np.minimum(self.bounds[t], cross)
+        return np.maximum(first, np.fmin(inner, last)).astype(np.int64)
+
+
+class TwoValuedCumsum:
+    """``np.cumsum`` of a ``2^n`` vector that holds ``x`` at ``marked``
+    and ``y`` everywhere else, bit for bit, without building the vector.
+
+    NumPy adds in index order.  While the running sum stays inside one
+    binade ``[2^e, 2^(e+1))`` every addition of ``x`` (or ``y``) moves
+    it by a fixed whole number of ulps, except on a tie, where the step
+    depends on the sum's ulp-count parity (see :func:`_steps`) and
+    leaves the count even.  So inside a binade the prefix sums are
+    integer cumulative sums over the marked indices in it and the gaps
+    of unmarked indices between them; parity is tracked through gap
+    lengths.  The step that leaves the binade is one plain float
+    addition.  A binade with few marked indices is walked one at a time,
+    a larger one in vectorised passes.
+
+    The split is deliberate: this per-engine object precomputes only
+    ``[-1, marked..., 2^n]``, which every run of the engine shares,
+    while each call walks one run's ``(x, y)`` into a
+    :class:`_PrefixSums` (one float per marked index and one row per
+    binade) that the run keeps for its draws.  It also makes
+    ``Generator.choice``'s checks on ``p`` (see :meth:`check`).
+    """
+
+    def __init__(self, num_qubits: int, marked: np.ndarray) -> None:
+        self.size = 1 << num_qubits
+        self.num_marked = int(marked.size)
+        # slot t: the gap of unmarked indices after _bounds[t], then
+        # _bounds[t + 1]; the final slot is the tail gap, up to ``size``
+        self._bounds = np.concatenate(([-1], marked, [self.size]))
+
+    def check(self, x: float, y: float) -> None:
+        """Raise ``choice``'s ``ValueError`` for a NaN total, a negative
+        entry, or a total off 1 by more than ``sqrt(eps)``.
+
+        ``choice`` totals ``p`` by Kahan summation; this totals it
+        exactly.  For the distributions a run yields, normalised by
+        their own pairwise sum, the exact total is within ~(n + 4) ulps
+        of 1 and Kahan's error is within 2 ulps of it, so both land
+        eight orders of magnitude inside ``sqrt(eps)``: the verdict can
+        only differ for a total engineered to ~1e-16 of ``1 +- sqrt(eps)``.
+        Entries here are finite or NaN (a run's are bounded by
+        ``|1 - d| + |d|``); for an infinite one ``choice`` may name NaN
+        where this names the total.
+        """
+        counts = ((x, self.num_marked), (y, self.size - self.num_marked))
+        present = [value for value, count in counts if count]
+        if any(math.isnan(value) for value in present):
+            _choice_error([math.nan])
+        if any(value < 0 for value in present):
+            _choice_error([-1.0, 2.0])
+        if not all(map(math.isfinite, present)):
+            _choice_error([2.0])
+        # the exact total over a common power-of-two denominator
+        ratios = [(value.as_integer_ratio(), count) for value, count in counts if count]
+        scale = max(den for (_, den), _ in ratios)
+        total = sum(count * num * (scale // den) for (num, den), count in ratios)
+        if abs(total - scale) << _CHOICE_TOLERANCE_BITS > scale:
+            _choice_error([2.0])
+
+    def __call__(self, x: float, y: float) -> _PrefixSums:
+        self.check(x, y)
+        bounds, size = self._bounds, self.size
+        final = bounds.size - 2  # the slot of the tail gap
+        end = np.empty(final + 2)
+        end[0] = 0.0
+        binades = []
+        s, i, t = 0.0, 0, 0  # the prefix sum before index i; slot t holds i
+        while True:
+            # the binade holding s: its ulp and its top in ulps (zero and
+            # the subnormals form one binade of 2^52 ulps)
+            if s < _MIN_NORMAL:
+                ulp, top = _SUBNORMAL_ULP, 1 << 52
+            else:
+                ulp, top = math.ldexp(1.0, math.frexp(s)[1] - 53), 1 << 53
+            # value / ulp is exact: a power-of-two scaling
+            x0, x1 = _steps(x / ulp, top)
+            y0, y1 = _steps(y / ulp, top)
+            if binades:
+                binades[-1][-1] = i - 1  # the index that left the last one
+            binades.append([i, s, ulp, y0 * ulp, y1 * ulp, size])
+            if i == size:
+                break  # the last index left a binade: this row ends the table
+            units = int(s / ulp)  # the sum in ulps
+            budget = _SCALAR_SLOTS
+            while True:
+                g = int(bounds[t + 1]) - i
+                if g:
+                    lead = y1 if units & 1 else y0
+                    if units + lead + (g - 1) * y0 >= top:
+                        # a step of the gap leaves the binade
+                        inside = 0 if units + lead >= top else 1 + (top - 1 - units - lead) // y0
+                        if inside:
+                            units += lead + (inside - 1) * y0
+                        index, on_marked = i + inside, False
+                        break
+                    units += lead + (g - 1) * y0
+                if t == final:
+                    s, i = units * ulp, size + 1
+                    break
+                step = x1 if units & 1 else x0
+                if units + step >= top:
+                    index, on_marked = i + g, True
+                    break
+                units += step
+                end[t + 1] = units * ulp
+                i, t = i + g + 1, t + 1
+                budget -= 1
+                if t == final:
+                    continue
+                # the slots the binade still holds, at the mean slot's ulps
+                per_slot = max(x0 + y0 * (size - i - final + t) / (final - t), 1)
+                if budget and top - units < _SCALAR_SLOTS * per_slot:
+                    continue
+                # then whole slots, a pass at a time
+                count = 8 + int(1.25 * (top - units) / per_slot)
+                while True:
+                    stop = min(final, t + count)
+                    # each slot's increment, then the sums, worked out in
+                    # place in ``end``: whole ulp counts below 2^53 are
+                    # exact in float64, and above ``top`` the sums are
+                    # only compared with it
+                    after = end[t + 1:stop + 1]
+                    np.subtract(bounds[t + 1:stop + 1], bounds[t:stop], out=after)
+                    after -= 1  # the gaps
+                    if x0 == x1 and y0 == y1:
+                        after *= y0 * ulp
+                        after += x0 * ulp
+                    else:
+                        gap = after.astype(np.int64)
+                        leads, marked = _tied_steps(gap, units & 1, x0, x1, y0, y1)
+                        after[:] = (leads + np.maximum(gap - 1, 0) * float(y0) + marked) * ulp
+                    after[0] += units * ulp
+                    np.cumsum(after, out=after)
+                    h = int(after.searchsorted(top * ulp))  # the first slot that leaves
+                    if h:
+                        units, i, t = int(after[h - 1] / ulp), int(bounds[t + h]) + 1, t + h
+                    if h < after.size or t == final:
+                        break
+                    count *= 2
+                budget = _SCALAR_SLOTS
+            if i > size:
+                break  # the final slot ended inside the binade
+            s = units * ulp + (x if on_marked else y)
+            if on_marked:
+                end[t + 1] = s
+                t += 1
+            i = index + 1
+        end[-1] = s  # the final slot ends on the last index
+        return _PrefixSums(bounds, end, np.array(binades, dtype=float))
+
+
+#: A binade expected to hold fewer slots than this takes them one at a
+#: time (at most this many in a row); a vectorised pass costs about as
+#: much as this many scalar slots.  On a 2-vCPU x86 VM, sending every
+#: slot but a binade's crossing one through vectorised passes made the
+#: 33 first draws of a gate-qmkp pass ~15% slower (one at n = 19,
+#: M = 17893: ~1.18 ms against ~1.05 ms); 4, 12 and 24 measured alike.
+#: gate-qmkp's end-to-end solves/s told none of them apart.
+_SCALAR_SLOTS = 12
+
+
+def _tied_steps(gap, parity, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot, the ulps of its gap's first step and of its marked step
+    in a binade where ``x`` or ``y`` ties; ``parity`` is the sum's at
+    the first slot.  A tied step leaves the sum even; so does every
+    later step of a gap of ``y`` that ties."""
+    starts = np.zeros(gap.size, dtype=np.int64)
+    starts[0] = parity
+    if x0 == x1:
+        # the gaps reset parity and each marked step adds x0, so a
+        # slot starts at x0 * (slots since the last gap)
+        slot = np.arange(gap.size)
+        last = np.maximum.accumulate(np.where(gap > 0, slot, -1))
+        starts[1:] = np.where(last >= 0, x0 * (slot - last + 1), parity + x0 * (slot + 1))[:-1] & 1
+    leads = np.where(gap > 0, y0 + starts * (y1 - y0), 0)
+    before = np.where(gap > 0, starts + leads + (np.maximum(gap - 1, 0) & 1) * (y0 & 1), starts) & 1
+    return leads, x0 + before * (x1 - x0)
+
+
 @dataclass
 class GroverRun:
     """Everything produced by one Grover execution.
@@ -259,9 +529,15 @@ class GroverRun:
     snapshots: dict[int, tuple[float, float]] = field(default_factory=dict)
     depolarization: float = 0.0
 
-    #: Lazily computed normalized measurement distribution; qTKP's
-    #: retry loop measures the same run repeatedly, so the ``2^n``
-    #: vector is built once, not per attempt.
+    #: The measurement distribution's prefix sums (:class:`_PrefixSums`:
+    #: one per marked index, a row per binade, and ``choice``'s
+    #: ``cdf[-1]``), built on first measurement; qTKP's retry loop
+    #: measures the same run repeatedly, so they are walked once, not
+    #: per draw.
+    _cumsum: _PrefixSums | None = field(default=None, repr=False, compare=False)
+    #: The ``2^n`` distribution vector, built only when
+    #: :meth:`probabilities` is called (plots and tests; measurement
+    #: never builds it).
     _probabilities: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
@@ -291,33 +567,44 @@ class GroverRun:
     def error_probability(self) -> float:
         return 1.0 - self.success_probability
 
+    def _point_masses(self) -> tuple[float, float]:
+        """The probability of each marked and of each unmarked state."""
+        a = self.marked_amplitude * self.marked_amplitude
+        b = self.unmarked_amplitude * self.unmarked_amplitude
+        total = self.engine.vector_sum(a, b)
+        a, b = a / total, b / total
+        if self.depolarization:
+            keep = 1.0 - self.depolarization
+            spread = self.depolarization / (1 << self.num_qubits)
+            a, b = keep * a + spread, keep * b + spread
+        return a, b
+
     def probabilities(self) -> np.ndarray:
         """The normalized measurement distribution (memoized)."""
         if self._probabilities is None:
-            a = self.marked_amplitude * self.marked_amplitude
-            b = self.unmarked_amplitude * self.unmarked_amplitude
-            total = self.engine.vector_sum(a, b)
-            a, b = a / total, b / total
-            if self.depolarization:
-                keep = 1.0 - self.depolarization
-                spread = self.depolarization / (1 << self.num_qubits)
-                a, b = keep * a + spread, keep * b + spread
-            self._probabilities = self.engine.expand(a, b)
+            self._probabilities = self.engine.expand(*self._point_masses())
         return self._probabilities
 
+    def _sampler(self) -> _PrefixSums:
+        if self._cumsum is None:
+            self._cumsum = self.engine.cumsum(*self._point_masses())
+        return self._cumsum
+
     def measure(self, shots: int, rng: np.random.Generator | None = None) -> dict[int, int]:
-        """Sample ``shots`` measurements; returns basis index -> count."""
+        """Sample ``shots`` measurements; returns basis index -> count.
+
+        Draw for draw ``rng.choice(2^n, size=shots, p=probabilities())``,
+        without building the vector.
+        """
         rng = rng or np.random.default_rng()
-        probs = self.probabilities()
-        draws = rng.choice(len(probs), size=shots, p=probs)
+        draws = self._sampler().draw(rng, shots)
         values, counts = np.unique(draws, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
 
     def measure_once(self, rng: np.random.Generator | None = None) -> int:
-        """A single measurement outcome."""
+        """A single measurement outcome, ``rng.choice(2^n, p=probabilities())``."""
         rng = rng or np.random.default_rng()
-        probs = self.probabilities()
-        return int(rng.choice(len(probs), p=probs))
+        return int(self._sampler().draw(rng))
 
 
 class PhaseOracleGrover:
@@ -341,8 +628,10 @@ class PhaseOracleGrover:
         runs.
     """
 
-    #: refuse absurd widths (measurement builds a 2^n float vector;
-    #: 2^26 floats ~ 0.5 GB)
+    #: Refuse absurd widths.  No run or measurement builds a ``2^n``
+    #: vector, but :class:`TwoValuedSum`'s ``_block_row`` table and its
+    #: NumPy walk are O(2^n / 128) per engine, so without the cap a wide
+    #: register raises ``MemoryError`` there.
     MAX_QUBITS = 26
 
     def __init__(
@@ -394,6 +683,12 @@ class PhaseOracleGrover:
         return TwoValuedSum(self.num_qubits, self._marked_array)
 
     @cached_property
+    def cumsum(self) -> TwoValuedCumsum:
+        """``np.cumsum`` of such a register without the vector (built on
+        first use); measurement draws through it."""
+        return TwoValuedCumsum(self.num_qubits, self._marked_array)
+
+    @cached_property
     def _marked_sum(self) -> _Program:
         return _uniform_sum_program(self.num_marked)
 
@@ -421,8 +716,8 @@ class PhaseOracleGrover:
         noiseless path.
 
         Each round costs O(1) scalar work plus one :attr:`vector_sum`
-        call; no ``2^n`` vector is built until the run is measured or
-        its amplitudes are read.
+        call; measuring the run builds no ``2^n`` vector either, only
+        reading its amplitudes or :meth:`GroverRun.probabilities` does.
         """
         if iterations is None:
             iterations = self.optimal_iterations()

@@ -41,8 +41,10 @@ __all__ = [
     "kplex_masks_containing",
 ]
 
-#: Same ceiling as ``PhaseOracleGrover.MAX_QUBITS`` — beyond this the
-#: amplitude vector itself is unreasonable, so the enumerator refuses too.
+#: Same ceiling as ``PhaseOracleGrover.MAX_QUBITS``: the Grover engine
+#: builds no ``2^n`` vector, but its ``TwoValuedSum`` keeps an
+#: O(2^n / 128) block table, so a wide register raises ``MemoryError``
+#: there; the enumerator refuses the same widths.
 MAX_VERTICES = 26
 
 #: Default memory budget for one chunk's working arrays (~64 MB).
